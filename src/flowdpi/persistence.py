@@ -94,9 +94,12 @@ def load_tree_model(path) -> DecisionTreeModel:
                       left=int(n["left"]), right=int(n["right"]),
                       klass=int(n["class"]), proba=float(n["proba"]))
              for n in doc["nodes"]]
-    return DecisionTreeModel(nodes, int(doc["n_features"]),
-                             int(doc["max_depth"]),
-                             int(doc["min_samples_split"]))
+    try:
+        return DecisionTreeModel(nodes, int(doc["n_features"]),
+                                 int(doc["max_depth"]),
+                                 int(doc["min_samples_split"]))
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def peek_schema(path) -> str:

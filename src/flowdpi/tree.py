@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+CRITERIA = ("gini", "entropy")
 
 
 @dataclass(frozen=True)
@@ -24,16 +27,57 @@ class TreeNode:
         return self.klass >= 0
 
 
+class _NodeArrays(NamedTuple):
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    klass: np.ndarray
+    proba: np.ndarray
+
+
 @dataclass
 class DecisionTreeModel:
     nodes: list[TreeNode]
     n_features: int
     max_depth: int
     min_samples_split: int
+    # parallel per-node arrays for batched descent, built from ``nodes``
+    _arrays: _NodeArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("tree must have at least one node")
+        n = len(self.nodes)
+        for i, node in enumerate(self.nodes):
+            if node.klass == -1:
+                for side, child in (("left", node.left),
+                                    ("right", node.right)):
+                    if not i < child < n:
+                        raise ValueError(
+                            f"tree node {i}: {side} child {child} is not "
+                            f"after the node and inside the {n} nodes")
+                if not 0 <= node.feature < self.n_features:
+                    raise ValueError(
+                        f"tree node {i}: feature {node.feature} is outside "
+                        f"[0, {self.n_features})")
+            elif node.klass not in (0, 1):
+                raise ValueError(f"tree node {i}: class {node.klass} is "
+                                 f"not 0, 1 or -1 (internal)")
+            if not 0.0 <= node.proba <= 1.0:
+                raise ValueError(f"tree node {i}: proba {node.proba} is "
+                                 f"outside [0, 1]")
+            if not math.isfinite(node.threshold):
+                raise ValueError(f"tree node {i}: threshold "
+                                 f"{node.threshold} is not finite")
+        self._arrays = _NodeArrays(
+            np.array([nd.feature for nd in self.nodes], dtype=np.intp),
+            np.array([nd.threshold for nd in self.nodes], dtype=float),
+            np.array([nd.left for nd in self.nodes], dtype=np.intp),
+            np.array([nd.right for nd in self.nodes], dtype=np.intp),
+            np.array([nd.klass for nd in self.nodes], dtype=int),
+            np.array([nd.proba for nd in self.nodes], dtype=float),
+        )
 
 
 @dataclass(frozen=True)
@@ -43,45 +87,56 @@ class TreeHyper:
     min_gain: float = 1e-7
     criterion: str = "gini"     # or "entropy"
 
+    def __post_init__(self):
+        if self.criterion not in CRITERIA:
+            raise ValueError(f"criterion must be one of {CRITERIA}, "
+                             f"not {self.criterion!r}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
 
-def _impurity(n_pos: float, n: float, criterion: str) -> float:
-    if n == 0:
-        return 0.0
+
+def _impurity(n_pos, n, criterion: str):
+    """Impurity of nodes holding ``n_pos`` class-1 rows out of ``n > 0``;
+    elementwise over arrays."""
     p = n_pos / n
     if criterion == "gini":
         return 2.0 * p * (1.0 - p)
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
 
 
 def _best_split(X: np.ndarray, y: np.ndarray,
                 criterion: str) -> Optional[tuple[int, float, float]]:
     """Best (feature, threshold, gain); ties keep the lowest feature index
-    then lowest threshold.  Thresholds are midpoints between consecutive
-    distinct sorted values."""
+    then lowest threshold.  Every position between two distinct sorted
+    values of every feature is scored in one pass.  The threshold is the
+    midpoint of the two values, or the lower value where the midpoint
+    rounds onto the upper one, so that ``x <= threshold`` sends exactly
+    the rows before the position left."""
     n = y.shape[0]
     n_pos = float(y.sum())
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    pos_cum = np.cumsum(y[order], axis=0)
     parent = _impurity(n_pos, n, criterion)
-    best = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        pos_cum = np.cumsum(ys)
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            thr = (xs[i] + xs[i + 1]) / 2.0
-            n_left = i + 1
-            left_pos = float(pos_cum[i])
-            weighted = (n_left / n * _impurity(left_pos, n_left, criterion)
-                        + (n - n_left) / n * _impurity(n_pos - left_pos,
-                                                       n - n_left, criterion))
-            gain = parent - weighted
-            if best is None or gain > best[2]:
-                best = (f, thr, gain)
-    return best
+    n_left = np.arange(1, n)[:, None]
+    left_pos = pos_cum[:-1]
+    weighted = (n_left / n * _impurity(left_pos, n_left, criterion)
+                + (n - n_left) / n * _impurity(n_pos - left_pos,
+                                               n - n_left, criterion))
+    gain = parent - weighted
+    gain[xs[:-1] == xs[1:]] = -np.inf
+    if gain.size == 0:
+        return None
+    # feature-major order: argmax takes the lowest feature, then position
+    k = int(np.argmax(gain.T.ravel()))
+    f, i = divmod(k, n - 1)
+    if gain[i, f] == -np.inf:
+        return None
+    lo, hi = xs[i, f], xs[i + 1, f]
+    mid = (lo + hi) / 2.0
+    return f, float(mid if mid < hi else lo), float(gain[i, f])
 
 
 def _leaf(y: np.ndarray) -> TreeNode:
@@ -142,11 +197,28 @@ def predict_one(model: DecisionTreeModel, x) -> tuple[int, float]:
     return node.klass, node.proba
 
 
-def predict(model: DecisionTreeModel, X) -> np.ndarray:
+def _leaves(model: DecisionTreeModel, X) -> np.ndarray:
+    """Leaf index of every row, descending all rows one level per step;
+    children always follow their parent, so this ends."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([predict_one(model, row)[0] for row in X])
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"feature dimension mismatch: "
+                         f"{X.shape[1]} != {model.n_features}")
+    feature, threshold, left, right, klass, _ = model._arrays
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    while True:
+        rows = rows[klass[node[rows]] < 0]
+        if rows.size == 0:
+            return node
+        at = node[rows]
+        node[rows] = np.where(X[rows, feature[at]] <= threshold[at],
+                              left[at], right[at])
+
+
+def predict(model: DecisionTreeModel, X) -> np.ndarray:
+    return model._arrays.klass[_leaves(model, X)]
 
 
 def predict_proba(model: DecisionTreeModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([predict_one(model, row)[1] for row in X])
+    return model._arrays.proba[_leaves(model, X)]

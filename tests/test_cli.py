@@ -136,6 +136,20 @@ class TestEval:
         assert main(["eval", str(bad), str(corpus_file),
                      "--report-out", str(tmp_path / "r.json")]) == 3
 
+    def test_tree_model_with_self_loop_is_model_error(self, tree_model_file,
+                                                      flows_file, tmp_path,
+                                                      capsys):
+        doc = json.loads(tree_model_file.read_text())
+        assert doc["nodes"][0]["class"] == -1
+        doc["nodes"][0]["left"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), str(flows_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "tree node 0: left child 0 is not after the node" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nonsense/9"}')

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from flowdpi.tree import (TreeHyper, predict, predict_one, predict_proba,
-                          train)
+from flowdpi import tree
+from flowdpi.tree import (DecisionTreeModel, TreeHyper, TreeNode, predict,
+                          predict_one, predict_proba, train)
 
 
 def _gini(y):
@@ -28,6 +29,43 @@ def _exhaustive_best_split(X, y):
             key = (weighted, f, thr)
             if best is None or key < best:
                 best = key
+    return best
+
+
+def _scalar_impurity(n_pos, n, criterion):
+    p = n_pos / n
+    if criterion == "gini":
+        return 2.0 * p * (1.0 - p)
+    if p in (0.0, 1.0):
+        return 0.0
+    return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+
+
+def _scalar_best_split(X, y, criterion):
+    """Straight-line split search, one candidate position at a time: the
+    reference that the one-pass search must reproduce bit for bit."""
+    n = y.shape[0]
+    n_pos = float(y.sum())
+    parent = _scalar_impurity(n_pos, n, criterion)
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        pos_cum = np.cumsum(y[order])
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            mid = (xs[i] + xs[i + 1]) / 2.0
+            thr = mid if mid < xs[i + 1] else xs[i]
+            n_left = i + 1
+            left_pos = float(pos_cum[i])
+            weighted = (n_left / n * _scalar_impurity(left_pos, n_left,
+                                                      criterion)
+                        + (n - n_left) / n * _scalar_impurity(
+                            n_pos - left_pos, n - n_left, criterion))
+            gain = parent - weighted
+            if best is None or gain > best[2]:
+                best = (f, thr, gain)
     return best
 
 
@@ -95,11 +133,85 @@ class TestTrain:
             # between splits of identical quality
             assert chosen == pytest.approx(best[0], abs=1e-12)
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("min_gain", [0.0, 1e-7])
+    def test_full_trees_match_scalar_split_search(self, criterion, min_gain,
+                                                  monkeypatch):
+        rng = np.random.default_rng(17)
+        hyper = TreeHyper(max_depth=10**6, min_gain=min_gain,
+                          criterion=criterion)
+        grown = []
+        for _ in range(20):
+            n = int(rng.integers(2, 150))
+            d = int(rng.integers(1, 5))
+            # one decimal: many repeated values, so ties are common
+            X = np.round(rng.normal(size=(n, d)), 1)
+            y = rng.integers(0, 2, size=n)
+            grown.append((X, y, train(X, y, hyper).nodes))
+        monkeypatch.setattr(tree, "_best_split", _scalar_best_split)
+        for X, y, nodes in grown:
+            assert train(X, y, hyper).nodes == nodes
+
+    def test_adjacent_float_values_leave_no_child_empty(self):
+        # duration, packet rate; the rates of rows 0 and 1 are adjacent
+        # floats, and their midpoint rounds onto the upper one
+        packets = [(0.070, 7), (0.020, 2), (0.015, 1), (0.010, 1)]
+        X = np.array([[d, k / d] for d, k in packets])
+        y = np.array([0, 1, 0, 1])
+        assert X[0, 1] == 99.99999999999999 and X[1, 1] == 100.0
+        assert np.nextafter(X[0, 1], np.inf) == X[1, 1]
+        model = train(X, y)
+        leaves = {i for i, node in enumerate(model.nodes) if node.is_leaf}
+        assert set(tree._leaves(model, X).tolist()) == leaves
+        assert np.array_equal(predict(model, X), y)
+        assert [predict_one(model, row)[0] for row in X] == list(y)
+
     def test_entropy_criterion_available(self):
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         model = train(X, y, TreeHyper(criterion="entropy"))
         assert np.array_equal(predict(model, X), y)
+
+
+class TestHyper:
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(ValueError, match="criterion"):
+            TreeHyper(criterion="gini-index")
+
+    def test_negative_max_depth_rejected(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            TreeHyper(max_depth=-1)
+
+
+def _stump(**root):
+    """Root split on feature 0 of 2, with two leaves."""
+    fields = dict(feature=0, threshold=0.5, left=1, right=2)
+    fields.update(root)
+    return [TreeNode(**fields), TreeNode(klass=0, proba=0.25),
+            TreeNode(klass=1, proba=1.0)]
+
+
+class TestModelValidation:
+    def test_well_formed_stump_accepted(self):
+        model = DecisionTreeModel(_stump(), 2, 1, 2)
+        assert list(predict(model, [[0.0, 9.0], [1.0, 9.0]])) == [0, 1]
+
+    @pytest.mark.parametrize("nodes, reason", [
+        (_stump(left=0), "left child 0 is not after the node"),
+        (_stump(right=3), "right child 3 is not after the node"),
+        (_stump(left=-1), "left child -1"),
+        (_stump(feature=2), "feature 2 is outside"),
+        (_stump(feature=-1), "feature -1 is outside"),
+        (_stump(threshold=float("nan")), "threshold nan is not finite"),
+        (_stump(threshold=float("inf")), "threshold inf is not finite"),
+        (_stump(klass=2), "class 2 is not"),
+        (_stump()[:2] + [TreeNode(klass=1, proba=1.5)], "proba 1.5"),
+        (_stump()[:2] + [TreeNode(klass=1, proba=float("nan"))],
+         "proba nan"),
+    ])
+    def test_malformed_model_rejected(self, nodes, reason):
+        with pytest.raises(ValueError, match=reason):
+            DecisionTreeModel(nodes, 2, 1, 2)
 
 
 class TestPredict:
@@ -128,6 +240,28 @@ class TestPredict:
         model = train(X, y)
         with pytest.raises(ValueError):
             predict_one(model, [1.0])
+        for batch in (predict, predict_proba):
+            with pytest.raises(ValueError, match="dimension"):
+                batch(model, np.zeros((3, 3)))
+            with pytest.raises(ValueError, match="dimension"):
+                batch(model, np.zeros((3, 1)))
+
+    def test_batch_matches_row_by_row_descent(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(300, 3)), 1)
+        y = rng.integers(0, 2, size=300)
+        model = train(X, y, TreeHyper(max_depth=6))
+        # unseen rows, and rows that lie exactly on each split threshold
+        on_threshold = []
+        for node in model.nodes:
+            if not node.is_leaf:
+                row = rng.normal(size=3)
+                row[node.feature] = node.threshold
+                on_threshold.append(row)
+        rows = np.vstack([X, rng.normal(size=(100, 3)), on_threshold])
+        expected = [predict_one(model, row) for row in rows]
+        assert predict(model, rows).tolist() == [k for k, _ in expected]
+        assert predict_proba(model, rows).tolist() == [p for _, p in expected]
 
     def test_predict_proba_in_unit_interval(self):
         rng = np.random.default_rng(8)
