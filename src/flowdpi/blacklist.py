@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .flows import FlowKey, parse_ipv4
+from .flows import FlowKey, FlowParseError, parse_ipv4
 
 log = logging.getLogger(__name__)
 
@@ -24,14 +24,30 @@ class Blacklist:
     networks: Mapping[int, frozenset[int]]
     n_entries: int
     n_skipped: int = 0
+    # (netmask, network addresses) per prefix length, built from networks
+    _masked: tuple = field(init=False, repr=False, compare=False)
 
-    def contains(self, ip) -> bool:
-        addr = int(parse_ipv4(ip))
-        for prefix_len, nets in self.networks.items():
-            mask = 0 if prefix_len == 0 else (~0 << (32 - prefix_len)) & 0xFFFFFFFF
-            if (addr & mask) in nets:
+    def __post_init__(self):
+        object.__setattr__(self, "_masked", tuple(
+            ((~0 << (32 - prefix_len)) & 0xFFFFFFFF, nets)
+            for prefix_len, nets in self.networks.items()))
+
+    def contains(self, ip: int | str) -> bool:
+        """Membership of an address given as its 32-bit int value (as a
+        ``FlowKey`` holds it) or as dotted-quad text."""
+        addr = _address(ip)
+        for mask, nets in self._masked:
+            if addr & mask in nets:
                 return True
         return False
+
+
+def _address(ip: int | str) -> int:
+    if type(ip) is not int:
+        return parse_ipv4(ip)
+    if not 0 <= ip <= 0xFFFFFFFF:
+        raise FlowParseError(f"IPv4 address out of range: {ip}")
+    return ip
 
 
 def load_blacklist(lines: Iterable[str], source_name: str = "blacklist",
@@ -66,14 +82,15 @@ def load_blacklist(lines: Iterable[str], source_name: str = "blacklist",
     return Blacklist(source_name, frozen, n_entries, n_skipped)
 
 
-def check_flow(blacklist: Blacklist, flow_key: FlowKey, observed_src_ip,
+def check_flow(blacklist: Blacklist, flow_key: FlowKey,
+               observed_src_ip: int | str,
                check_both_endpoints: bool = False) -> bool:
-    """True means block.  Checks the observed source IP; optionally also
-    the other endpoint."""
+    """True means block.  Checks the observed source IP (an int from the
+    key, or dotted-quad text); optionally also the other endpoint."""
     if blacklist.contains(observed_src_ip):
         return True
     if check_both_endpoints:
-        src = parse_ipv4(observed_src_ip)
+        src = _address(observed_src_ip)
         other = (flow_key.dst_ip if flow_key.src_ip == src else flow_key.src_ip)
         return blacklist.contains(other)
     return False

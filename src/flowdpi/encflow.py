@@ -7,6 +7,7 @@ metadata only: TLS version, TTL, duration, ports and packet rate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -76,8 +77,14 @@ class EncryptedFlowRecord:
     def __post_init__(self):
         if not 0 <= self.ttl <= 255:
             raise ValueError(f"ttl out of range: {self.ttl}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration is not finite: {self.duration}")
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")
+        if self.fwd_packets < 0 or self.bwd_packets < 0:
+            raise ValueError(f"negative packet count: fwd_pkts "
+                             f"{self.fwd_packets}, bwd_pkts "
+                             f"{self.bwd_packets}")
 
 
 REQUIRED_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "proto",
@@ -91,8 +98,8 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
     try:
         src_port = int(row["src_port"])
         dst_port = int(row["dst_port"])
-        flow = canonicalize_flow_key(row["src_ip"], src_port,
-                                     row["dst_ip"], dst_port, row["proto"])
+        flow, _ = canonicalize_flow_key(row["src_ip"], src_port,
+                                        row["dst_ip"], dst_port, row["proto"])
         ttl = int(row["ttl"])
         duration = float(row["duration"])
         fwd = int(row["fwd_pkts"])

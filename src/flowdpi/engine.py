@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from . import logistic, tree
@@ -223,15 +224,15 @@ class Engine:
             if not line.strip():
                 continue
             try:
-                packets.append((line_no, packet_from_json_line(line)))
+                packets.append(packet_from_json_line(line))
             except FlowParseError as exc:
                 message = f"packet line {line_no}: {exc}"
                 if strict:
                     raise ReplayDataError(message) from exc
                 log.warning("%s", message)
                 self.report.errors.append(message)
-        packets.sort(key=lambda item: item[1].timestamp)
-        for _, packet in packets:
+        packets.sort(key=attrgetter("timestamp"))   # stable: ties keep order
+        for packet in packets:
             self.process_packet(packet)
         if flow_lines is not None:
             records = read_flow_csv(flow_lines)

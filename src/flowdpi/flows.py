@@ -1,18 +1,22 @@
 """Core packet/flow data types shared by the whole pipeline.
 
 A flow is a bi-directional 5-tuple conversation.  Both directions map to
-the same canonical ``FlowKey``; which endpoint was actually observed as
-the packet source is carried outside key equality so that keys remain
-direction-free dictionary keys.
+the same canonical ``FlowKey``; which endpoint was observed as the packet
+source travels beside the key (``PacketRecord.direction``), so keys stay
+direction-free dictionary keys.  Addresses are plain 32-bit ints, so a
+key hashes and compares without building any ``ipaddress`` object.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, field
+import math
+import re
+import socket
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class FlowParseError(ValueError):
@@ -24,8 +28,7 @@ class Direction(Enum):
     REVERSE = "reverse"
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     kind: str   # "TCP", "UDP" or "OTHER"
     code: int
 
@@ -55,20 +58,37 @@ def parse_protocol(value: Any) -> Protocol:
         return TCP
     if text == "UDP":
         return UDP
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return parse_protocol(int(text))
     raise FlowParseError(f"bad protocol: {value!r}")
 
 
-def parse_ipv4(text: Any) -> ipaddress.IPv4Address:
-    """Parse an IPv4 address; IPv6 and malformed text are rejected."""
-    try:
-        addr = ipaddress.ip_address(str(text).strip())
-    except ValueError as exc:
-        raise FlowParseError(f"bad IPv4 address: {text!r}") from exc
-    if addr.version != 4:
+# one decimal octet 0-255 without leading zeros, as ipaddress requires
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}", re.ASCII)
+
+
+def parse_ipv4(text: Any) -> int:
+    """Parse dotted-quad IPv4 text into its 32-bit int value.
+
+    Accepts exactly what ``ipaddress.IPv4Address`` accepts once
+    surrounding whitespace is stripped; IPv6 and malformed text are
+    rejected.  The pattern check comes first because ``inet_aton`` alone
+    also takes shorthand such as ``"1.2"`` and octal octets.
+    """
+    stripped = str(text).strip()
+    if _DOTTED_QUAD.fullmatch(stripped) is None:
+        try:
+            ipaddress.IPv6Address(stripped)
+        except ValueError:
+            raise FlowParseError(f"bad IPv4 address: {text!r}") from None
         raise FlowParseError(f"IPv6 not supported: {text!r}")
-    return addr
+    return int.from_bytes(socket.inet_aton(stripped), "big")
+
+
+def format_ipv4(addr: int) -> str:
+    """Dotted-quad text of a 32-bit int address."""
+    return socket.inet_ntoa(addr.to_bytes(4, "big"))
 
 
 def _check_port(port: Any) -> int:
@@ -79,103 +99,103 @@ def _check_port(port: Any) -> int:
     return port
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Canonical bi-directional 5-tuple.
+class FlowKey(NamedTuple):
+    """Canonical bi-directional 5-tuple with int IPv4 endpoints.
 
     Endpoints are ordered so that (src_ip, src_port) <= (dst_ip, dst_port)
-    lexicographically (ip first, then port).  ``observed_src_first`` records
-    whether the endpoint seen as the packet source is the stored src side;
-    it does not take part in equality or hashing.
+    lexicographically (ip first, then port).
     """
 
-    src_ip: ipaddress.IPv4Address
+    src_ip: int
     src_port: int
-    dst_ip: ipaddress.IPv4Address
+    dst_ip: int
     dst_port: int
     protocol: Protocol
-    observed_src_first: bool = field(default=True, compare=False)
-
-    def observed_src(self) -> ipaddress.IPv4Address:
-        return self.src_ip if self.observed_src_first else self.dst_ip
 
     def __str__(self) -> str:
-        return (f"{self.src_ip}:{self.src_port}<->"
-                f"{self.dst_ip}:{self.dst_port}/{self.protocol}")
-
-    def to_dict(self) -> dict:
-        return {
-            "src_ip": str(self.src_ip),
-            "src_port": self.src_port,
-            "dst_ip": str(self.dst_ip),
-            "dst_port": self.dst_port,
-            "proto": str(self.protocol.kind if self.protocol.kind != "OTHER"
-                         else self.protocol.code),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FlowKey":
-        return canonicalize_flow_key(obj["src_ip"], int(obj["src_port"]),
-                                     obj["dst_ip"], int(obj["dst_port"]),
-                                     obj["proto"])
+        return (f"{format_ipv4(self.src_ip)}:{self.src_port}<->"
+                f"{format_ipv4(self.dst_ip)}:{self.dst_port}/"
+                f"{self.protocol}")
 
 
 def canonicalize_flow_key(src_ip, src_port, dst_ip, dst_port,
-                          protocol) -> FlowKey:
-    """Build the canonical key; (A->B) and (B->A) yield equal keys."""
+                          protocol) -> tuple[FlowKey, bool]:
+    """Build the canonical key; (A->B) and (B->A) yield equal keys.
+
+    Returns ``(key, forward)``: ``forward`` is true when the given source
+    endpoint is the key's src side.
+    """
     a_ip, b_ip = parse_ipv4(src_ip), parse_ipv4(dst_ip)
     a_port, b_port = _check_port(src_port), _check_port(dst_port)
     proto = parse_protocol(protocol)
     if (a_ip, a_port) <= (b_ip, b_port):
-        return FlowKey(a_ip, a_port, b_ip, b_port, proto,
-                       observed_src_first=True)
-    return FlowKey(b_ip, b_port, a_ip, a_port, proto,
-                   observed_src_first=False)
+        return FlowKey(a_ip, a_port, b_ip, b_port, proto), True
+    return FlowKey(b_ip, b_port, a_ip, a_port, proto), False
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     flow: FlowKey
     direction: Direction
     timestamp: float
     payload: bytes
     encrypted: bool
 
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise FlowParseError(f"negative timestamp: {self.timestamp}")
-
     def payload_text(self) -> str:
         """Payload decoded for featurization (lossy UTF-8)."""
         return self.payload.decode("utf-8", errors="replace")
 
 
+def _timestamp(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FlowParseError(f"ts must be a number: {value!r}")
+    try:
+        ts = float(value)
+    except OverflowError:
+        ts = math.inf
+    if not math.isfinite(ts):
+        raise FlowParseError(f"ts is not finite: {value!r}")
+    if ts < 0:
+        raise FlowParseError(f"negative timestamp: {ts}")
+    return ts
+
+
 def packet_from_json_line(line: str) -> PacketRecord:
     """Parse one packet-stream JSONL record.
 
-    Expected keys: src_ip, src_port, dst_ip, dst_port, proto, ts, payload,
-    encrypted.  The payload is a UTF-8 string.
+    Keys and their JSON types: ``src_ip`` and ``dst_ip`` dotted-quad
+    strings; ``src_port`` and ``dst_port`` integers in [0, 65535];
+    ``proto`` "TCP", "UDP" or an integer code in [0, 255]; ``ts`` a
+    finite number >= 0; ``payload`` a string (default ""); ``encrypted``
+    true or false (default false).  A value of another type is rejected,
+    never coerced.
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also a number past Python's digit limit
         raise FlowParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FlowParseError("packet record must be a JSON object")
     try:
-        key = canonicalize_flow_key(obj["src_ip"], int(obj["src_port"]),
-                                    obj["dst_ip"], int(obj["dst_port"]),
-                                    obj["proto"])
-        ts = float(obj["ts"])
-        payload = str(obj.get("payload", "")).encode("utf-8")
-        encrypted = bool(obj.get("encrypted", False))
+        key, forward = canonicalize_flow_key(obj["src_ip"], obj["src_port"],
+                                             obj["dst_ip"], obj["dst_port"],
+                                             obj["proto"])
+        ts = _timestamp(obj["ts"])
     except KeyError as exc:
         raise FlowParseError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FlowParseError(str(exc)) from exc
-    direction = (Direction.FORWARD if key.observed_src_first
-                 else Direction.REVERSE)
-    return PacketRecord(key, direction, ts, payload, encrypted)
+    payload = obj.get("payload", "")
+    if not isinstance(payload, str):
+        raise FlowParseError(f"payload must be a string: {payload!r}")
+    encrypted = obj.get("encrypted", False)
+    if not isinstance(encrypted, bool):
+        raise FlowParseError(
+            f"encrypted must be true or false: {encrypted!r}")
+    try:
+        data = payload.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FlowParseError(f"payload is not UTF-8 text: {exc}") from exc
+    return PacketRecord(key,
+                        Direction.FORWARD if forward else Direction.REVERSE,
+                        ts, data, encrypted)
 
 
 def packet_to_json_line(src_ip: str, src_port: int, dst_ip: str,
@@ -207,7 +227,7 @@ class LabeledPayload:
 def labeled_payload_from_json_line(line: str) -> LabeledPayload:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also a number past Python's digit limit
         raise FlowParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "payload" not in obj or "label" not in obj:
         raise FlowParseError("corpus record needs 'payload' and 'label'")

@@ -89,17 +89,44 @@ def save_tree_model(path, model: DecisionTreeModel) -> None:
 
 def load_tree_model(path) -> DecisionTreeModel:
     doc = _load_schema(path, TREE_SCHEMA)
-    nodes = [TreeNode(feature=int(n["feature"]),
-                      threshold=float(n["threshold"]),
-                      left=int(n["left"]), right=int(n["right"]),
-                      klass=int(n["class"]), proba=float(n["proba"]))
-             for n in doc["nodes"]]
     try:
-        return DecisionTreeModel(nodes, int(doc["n_features"]),
-                                 int(doc["max_depth"]),
-                                 int(doc["min_samples_split"]))
-    except ValueError as exc:
+        nodes = doc.get("nodes")
+        if not isinstance(nodes, list):
+            raise ValueError("'nodes' must be a list of node objects")
+        return DecisionTreeModel([_tree_node(n, i)
+                                  for i, n in enumerate(nodes)],
+                                 _typed(doc, "n_features", int),
+                                 _typed(doc, "max_depth", int),
+                                 _typed(doc, "min_samples_split", int))
+    except (ValueError, OverflowError) as exc:   # e.g. a 400-digit threshold
         raise ModelFormatError(f"{path}: {exc}") from exc
+
+
+_NUMBER = (int, float)
+
+
+def _tree_node(obj: Any, i: int) -> TreeNode:
+    where = f"tree node {i}: "
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}not a JSON object")
+    return TreeNode(feature=_typed(obj, "feature", int, where),
+                    threshold=float(_typed(obj, "threshold", _NUMBER, where)),
+                    left=_typed(obj, "left", int, where),
+                    right=_typed(obj, "right", int, where),
+                    klass=_typed(obj, "class", int, where),
+                    proba=float(_typed(obj, "proba", _NUMBER, where)))
+
+
+def _typed(obj: dict, key: str, kinds, where: str = ""):
+    """``obj[key]``, which must be a JSON integer (``kinds`` int) or a JSON
+    number (``_NUMBER``); JSON true/false are neither."""
+    if key not in obj:
+        raise ValueError(f"{where}missing '{key}'")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"{where}'{key}' must be {kind}: {value!r}")
+    return value
 
 
 def peek_schema(path) -> str:

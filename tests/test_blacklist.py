@@ -1,12 +1,13 @@
 import ipaddress
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flowdpi.blacklist import check_flow, load_blacklist
-from flowdpi.flows import canonicalize_flow_key
+from flowdpi.flows import FlowParseError, canonicalize_flow_key
 
-KEY = canonicalize_flow_key("10.0.0.1", 1000, "10.0.0.2", 80, "TCP")
+KEY, _ = canonicalize_flow_key("10.0.0.1", 1000, "10.0.0.2", 80, "TCP")
 
 
 def test_load_parses_addresses_and_prefixes():
@@ -50,10 +51,13 @@ def test_non_member_passes():
 
 
 def test_check_both_endpoints_flag():
-    key = canonicalize_flow_key("10.0.0.1", 1000, "10.9.9.9", 80, "TCP")
+    key, _ = canonicalize_flow_key("10.0.0.1", 1000, "10.9.9.9", 80, "TCP")
     bl = load_blacklist(["10.9.9.9"])
     assert not check_flow(bl, key, "10.0.0.1")
     assert check_flow(bl, key, "10.0.0.1", check_both_endpoints=True)
+    # the engine passes the key's int endpoint
+    assert check_flow(bl, key, key.src_ip, check_both_endpoints=True)
+    assert check_flow(bl, key, key.dst_ip)
 
 
 entry_st = st.one_of(
@@ -71,3 +75,11 @@ def test_lookup_agrees_with_linear_scan_oracle(entries, addr_int):
     oracle = any(addr in ipaddress.ip_network(e, strict=False)
                  for e in entries)
     assert bl.contains(str(addr)) == oracle
+    assert bl.contains(addr_int) == oracle
+
+
+@pytest.mark.parametrize("addr", [-1, 2**32, True, "1.2", "::1"])
+def test_contains_rejects_what_is_not_an_ipv4_address(addr):
+    bl = load_blacklist(["0.0.0.0/0"])
+    with pytest.raises(FlowParseError):
+        bl.contains(addr)

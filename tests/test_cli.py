@@ -150,6 +150,49 @@ class TestEval:
         assert "tree node 0: left child 0 is not after the node" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("node, field, value, reason", [
+        (0, "feature", 1.7, "tree node 0: 'feature' must be an integer: 1.7"),
+        (0, "class", True, "tree node 0: 'class' must be an integer: True"),
+        (1, "proba", None, "tree node 1: missing 'proba'"),
+        (1, "threshold", "0.5",
+         "tree node 1: 'threshold' must be a number: '0.5'"),
+    ])
+    def test_tree_model_field_of_wrong_type_is_model_error(
+            self, tree_model_file, flows_file, tmp_path, capsys,
+            node, field, value, reason):
+        # these used to be coerced (1.7 -> feature 1, true -> class 1) or,
+        # for a missing key, end in a traceback with exit 1
+        doc = json.loads(tree_model_file.read_text())
+        if value is None:
+            del doc["nodes"][node][field]
+        else:
+            doc["nodes"][node][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), str(flows_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        assert f"{bad}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("nodes", {}, "'nodes' must be a list of node objects"),
+        ("nodes", [7], "tree node 0: not a JSON object"),
+        ("n_features", 8.0, "'n_features' must be an integer: 8.0"),
+        ("max_depth", None, "missing 'max_depth'"),
+    ])
+    def test_tree_model_malformed_header_is_model_error(
+            self, tree_model_file, flows_file, tmp_path, capsys,
+            field, value, reason):
+        doc = json.loads(tree_model_file.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), str(flows_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        assert f"{bad}: {reason}" in capsys.readouterr().err
+
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nonsense/9"}')

@@ -38,6 +38,28 @@ def test_unparsable_numeric():
         parse_flow_row(dict(GOOD_ROW, fwd_pkts="lots"), 3)
 
 
+@pytest.mark.parametrize("column", ["fwd_pkts", "bwd_pkts"])
+def test_negative_packet_count_rejected(column):
+    with pytest.raises(FlowRowError, match="row 4: negative packet count"):
+        parse_flow_row(dict(GOOD_ROW, **{column: "-1"}), 4)
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_duration_rejected(value):
+    with pytest.raises(FlowRowError, match="row 5: duration is not finite"):
+        parse_flow_row(dict(GOOD_ROW, duration=value), 5)
+
+
+def test_negative_duration_rejected():
+    with pytest.raises(FlowRowError, match="negative duration"):
+        parse_flow_row(dict(GOOD_ROW, duration="-0.5"), 1)
+
+
+def test_zero_packet_counts_accepted():
+    record = parse_flow_row(dict(GOOD_ROW, fwd_pkts="0", bwd_pkts="0"), 1)
+    assert record.fwd_packets == 0 and encode(record)[7] == 0.0
+
+
 def test_label_parsing():
     assert parse_flow_row(dict(GOOD_ROW, label="benign"), 1).label == 0
     assert parse_flow_row(dict(GOOD_ROW, label="Botnet"), 1).label == 1

@@ -227,6 +227,22 @@ def test_replay_orders_by_timestamp(payload_classifier):
     assert report.blacklist_blocks == 1
 
 
+def test_replay_rejects_nan_timestamp_and_stays_ordered(payload_classifier):
+    # every packet opens its own blacklisted flow, so the blacklist
+    # actions list the packets in the order the engine processed them; a
+    # NaN timestamp used to leave 3.0, NaN, 1.0, 2.0 unsorted
+    sources = ["10.0.6.3", "10.0.6.9", "10.0.6.1", "10.0.6.2"]
+    lines = [packet_line(src, "/a", ts=ts)
+             for src, ts in zip(sources, [3.0, float("nan"), 1.0, 2.0])]
+    engine = make_engine(payload_classifier, sources)
+    report = engine.run_replay(lines)
+    assert len(report.errors) == 1
+    assert "line 2" in report.errors[0] and "not finite" in report.errors[0]
+    assert [v.timestamp for v in report.actions] == [1.0, 2.0, 3.0]
+    assert [str(v.flow).split(":")[0] for v in report.actions] == [
+        "10.0.6.1", "10.0.6.2", "10.0.6.3"]
+
+
 def test_replay_determinism(payload_classifier):
     rng = np.random.default_rng(8)
     lines = []

@@ -1,27 +1,33 @@
 import ipaddress
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flowdpi.flows import (Direction, FlowKey, FlowParseError, Verdict,
-                           VerdictKind, VerdictReason, canonicalize_flow_key,
+from flowdpi.flows import (Direction, FlowParseError, Verdict, VerdictKind,
+                           VerdictReason, canonicalize_flow_key, format_ipv4,
                            labeled_payload_from_json_line,
-                           packet_from_json_line, parse_protocol)
+                           packet_from_json_line, parse_ipv4, parse_protocol)
 
 
 def test_both_directions_map_to_same_key():
-    a = canonicalize_flow_key("10.0.0.1", 5000, "10.0.0.2", 80, "TCP")
-    b = canonicalize_flow_key("10.0.0.2", 80, "10.0.0.1", 5000, "TCP")
+    a, a_forward = canonicalize_flow_key("10.0.0.1", 5000, "10.0.0.2", 80,
+                                         "TCP")
+    b, b_forward = canonicalize_flow_key("10.0.0.2", 80, "10.0.0.1", 5000,
+                                         "TCP")
     assert a == b
     assert hash(a) == hash(b)
+    assert a_forward and not b_forward
 
 
 def test_self_loop_is_fixed_point():
-    k = canonicalize_flow_key("10.0.0.1", 5000, "10.0.0.1", 5000, "TCP")
-    assert str(k.src_ip) == "10.0.0.1" and k.src_port == 5000
-    assert str(k.dst_ip) == "10.0.0.1" and k.dst_port == 5000
+    k, forward = canonicalize_flow_key("10.0.0.1", 5000, "10.0.0.1", 5000,
+                                       "TCP")
+    assert format_ipv4(k.src_ip) == "10.0.0.1" and k.src_port == 5000
+    assert format_ipv4(k.dst_ip) == "10.0.0.1" and k.dst_port == 5000
+    assert forward
 
 
 def test_malformed_address_rejected():
@@ -41,8 +47,14 @@ def test_port_out_of_range(port):
 
 
 def test_observed_source_is_retained():
-    k = canonicalize_flow_key("10.0.0.2", 80, "10.0.0.1", 5000, "TCP")
-    assert str(k.observed_src()) == "10.0.0.2"
+    k, forward = canonicalize_flow_key("10.0.0.2", 80, "10.0.0.1", 5000,
+                                       "TCP")
+    assert not forward
+    assert format_ipv4(k.dst_ip) == "10.0.0.2"   # the observed source
+    pkt = packet_from_json_line(packet_json(src_ip="10.0.0.2", src_port=80,
+                                            dst_ip="10.0.0.1",
+                                            dst_port=5000))
+    assert pkt.flow == k and pkt.direction is Direction.REVERSE
 
 
 def test_protocol_parsing():
@@ -54,24 +66,98 @@ def test_protocol_parsing():
         parse_protocol("bogus")
     with pytest.raises(FlowParseError):
         parse_protocol(300)
+    assert parse_protocol(" 6 ") is parse_protocol("tcp")
+    with pytest.raises(FlowParseError):
+        parse_protocol("\u0666")   # Arabic-Indic six is not a protocol code
 
 
-ips = st.integers(0, 2**32 - 1).map(lambda v: str(ipaddress.IPv4Address(v)))
+addrs = st.integers(0, 2**32 - 1)
+ips = addrs.map(lambda v: str(ipaddress.IPv4Address(v)))
 ports = st.integers(0, 65535)
 protos = st.sampled_from(["TCP", "UDP", 47])
 
 
 @given(ips, ports, ips, ports, protos)
 def test_canonicalization_direction_free(sip, sport, dip, dport, proto):
-    fwd = canonicalize_flow_key(sip, sport, dip, dport, proto)
-    rev = canonicalize_flow_key(dip, dport, sip, sport, proto)
+    fwd, _ = canonicalize_flow_key(sip, sport, dip, dport, proto)
+    rev, _ = canonicalize_flow_key(dip, dport, sip, sport, proto)
     assert fwd == rev
 
 
-@given(ips, ports, ips, ports, protos)
-def test_key_serialization_round_trip(sip, sport, dip, dport, proto):
-    key = canonicalize_flow_key(sip, sport, dip, dport, proto)
-    assert FlowKey.from_dict(key.to_dict()) == key
+@given(addrs, ports, addrs, ports,
+       st.sampled_from([("TCP", "TCP"), ("UDP", "UDP"), (47, "OTHER(47)")]))
+def test_key_str_matches_ipaddress_text(a, a_port, b, b_port, proto):
+    # oracle: the text keys had when they held ipaddress.IPv4Address values
+    proto, proto_text = proto
+    key, forward = canonicalize_flow_key(str(ipaddress.IPv4Address(a)),
+                                         a_port,
+                                         str(ipaddress.IPv4Address(b)),
+                                         b_port, proto)
+    (lo_ip, lo_port), (hi_ip, hi_port) = sorted([(a, a_port), (b, b_port)])
+    assert str(key) == (f"{ipaddress.IPv4Address(lo_ip)}:{lo_port}<->"
+                        f"{ipaddress.IPv4Address(hi_ip)}:{hi_port}/"
+                        f"{proto_text}")
+    assert forward == ((a, a_port) <= (b, b_port))
+
+
+# candidate address text: dotted runs of octet-like pieces, with noise
+# around them, and free text over the characters addresses are made of
+octet_like = st.one_of(
+    st.integers(0, 300).map(str),
+    st.sampled_from(["", "00", "01", "007", "0x1a", "1e1", "+1", "-1",
+                     "1_0", " 1", "\u0663", "\uff11", "\u00b2"]))
+noise = st.sampled_from(["", " ", "\n", "\t", "\x00", ".", "/24", "%0"])
+address_text = st.one_of(
+    st.builds(lambda pre, octets, post: pre + ".".join(octets) + post,
+              noise, st.lists(octet_like, min_size=1, max_size=5), noise),
+    st.text(alphabet="0123456789.:abcdefx \n\u0663", max_size=20),
+)
+
+
+@given(address_text)
+@example("1.2.3.4")
+@example("0.0.0.0")
+@example("255.255.255.255")
+@example("01.2.3.4")           # leading zero
+@example("1.2.3.004")
+@example("1.2")                # inet_aton shorthand
+@example("1")
+@example("1.2.3.4\n")          # trailing newline
+@example(" 10.0.0.1 ")
+@example("\u0661.\u0662.\u0663.\u0664")   # non-ASCII digits
+@example("1.2.3.\u00b2")
+@example("::1")
+@example("::ffff:1.2.3.4")
+@example("256.1.1.1")
+@example("1.2.3.4.")
+@example("0x7f.0.0.1")
+def test_parse_ipv4_accepts_exactly_what_ipaddress_accepts(text):
+    try:
+        expected = int(ipaddress.IPv4Address(text.strip()))
+    except ValueError:
+        with pytest.raises(FlowParseError):
+            parse_ipv4(text)
+    else:
+        assert parse_ipv4(text) == expected
+
+
+@given(addrs)
+def test_format_ipv4_inverts_parse(addr):
+    text = format_ipv4(addr)
+    assert text == str(ipaddress.IPv4Address(addr))
+    assert parse_ipv4(text) == addr
+
+
+def packet_json(drop=(), **fields):
+    """One packet line: a valid record with ``fields`` replaced and the
+    keys in ``drop`` left out."""
+    obj = {"src_ip": "10.0.0.1", "src_port": 5000, "dst_ip": "10.0.0.2",
+           "dst_port": 80, "proto": "TCP", "ts": 1.0, "payload": "/a",
+           "encrypted": False}
+    obj.update(fields)
+    for name in drop:
+        del obj[name]
+    return json.dumps(obj)
 
 
 def test_packet_json_parsing():
@@ -99,6 +185,61 @@ def test_packet_json_errors(line):
         packet_from_json_line(line)
 
 
+@pytest.mark.parametrize("value", ["false", "true", "", 0, 1, None, [False]])
+def test_encrypted_must_be_a_json_bool(value):
+    # a string "false" used to parse as True and skip payload inspection
+    with pytest.raises(FlowParseError, match="encrypted must be true or "
+                                             "false"):
+        packet_from_json_line(packet_json(encrypted=value))
+    assert packet_from_json_line(packet_json(encrypted=True)).encrypted
+    assert not packet_from_json_line(packet_json(drop=["encrypted"])).encrypted
+
+
+@pytest.mark.parametrize("field", ["src_port", "dst_port"])
+@pytest.mark.parametrize("value", [80.9, 80.0, "80", True, None])
+def test_port_must_be_a_json_integer(field, value):
+    # 80.9 used to be truncated to port 80
+    with pytest.raises(FlowParseError, match="port must be an integer"):
+        packet_from_json_line(packet_json(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_non_finite_ts_rejected(value):
+    with pytest.raises(FlowParseError, match="ts is not finite"):
+        packet_from_json_line(packet_json(ts=value))
+
+
+@pytest.mark.parametrize("value", ["1.5", "inf", True, None])
+def test_ts_must_be_a_json_number(value):
+    with pytest.raises(FlowParseError, match="ts must be a number"):
+        packet_from_json_line(packet_json(ts=value))
+    assert packet_from_json_line(packet_json(ts=7)).timestamp == 7.0
+
+
+@pytest.mark.parametrize("value", [None, 5, ["/a"], {"a": 1}, False])
+def test_payload_must_be_a_string_or_absent(value):
+    # null used to be featurized as the text "None"
+    with pytest.raises(FlowParseError, match="payload must be a string"):
+        packet_from_json_line(packet_json(payload=value))
+    assert packet_from_json_line(packet_json(drop=["payload"])).payload == b""
+
+
+def test_number_past_the_digit_limit_is_a_parse_error():
+    # json.loads raises a plain ValueError here, which used to escape a
+    # lenient replay and end it as a model/config error
+    huge = "1" + "0" * 5000
+    line = packet_json(ts=0).replace('"ts": 0', f'"ts": {huge}')
+    with pytest.raises(FlowParseError, match="bad JSON"):
+        packet_from_json_line(line)
+    with pytest.raises(FlowParseError, match="bad JSON"):
+        labeled_payload_from_json_line(f'{{"payload": "/a", "label": {huge}}}')
+
+
+def test_payload_that_is_not_utf8_text_rejected():
+    with pytest.raises(FlowParseError, match="UTF-8"):
+        packet_from_json_line(packet_json(payload="/a\ud800"))
+
+
 def test_labeled_payload_parsing():
     rec = labeled_payload_from_json_line('{"payload": "/a", "label": 1}')
     assert rec.payload == "/a" and rec.label == 1
@@ -109,7 +250,7 @@ def test_labeled_payload_parsing():
 
 
 def test_verdict_score_contract():
-    key = canonicalize_flow_key("10.0.0.1", 1, "10.0.0.2", 2, "TCP")
+    key, _ = canonicalize_flow_key("10.0.0.1", 1, "10.0.0.2", 2, "TCP")
     Verdict(VerdictKind.BLOCK, key, VerdictReason.PAYLOAD_CLASSIFIER, 0.9)
     Verdict(VerdictKind.BLOCK, key, VerdictReason.BLACKLIST)
     with pytest.raises(ValueError):
