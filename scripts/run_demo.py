@@ -2,8 +2,9 @@
 """End-to-end demo of the flowdpi pipeline.
 
 Generates synthetic data, trains the payload and encrypted-flow models,
-evaluates both, and replays the packet stream — all through the public
-CLI so the demo doubles as a smoke test of the installed entry point.
+evaluates both, replays the packet stream and traces the adaptive
+sampler over a few per-window hit counts — all through the public CLI,
+so the demo doubles as a smoke test of all five commands.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def main() -> int:
                "--tree-model", str(d / "tree-model.json"),
                "--report-out", str(d / "replay-report.json"),
                "--actions-out", str(d / "actions.csv")])
+    # per-window hit counts: two warm-up windows, a flat stretch that grows
+    # the window, then bursts that move it both ways
+    (d / "deltas.csv").write_text(
+        "delta\n" + "".join(f"{n}\n" for n in (0, 0, 0, 0, 3, 7, 1, 0, 12)))
+    run(cli + ["sample-trace", str(d / "deltas.csv"),
+               "--output", str(d / "sample-trace.csv")])
 
     report = json.loads((d / "replay-report.json").read_text())
     print(f"demo complete: {report['flows_seen']} flows, "

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .flows import FlowKey, FlowParseError, parse_ipv4
+from .flows import FlowParseError, parse_ipv4
 
 log = logging.getLogger(__name__)
 
@@ -35,27 +35,21 @@ class Blacklist:
     def contains(self, ip: int | str) -> bool:
         """Membership of an address given as its 32-bit int value (as a
         ``FlowKey`` holds it) or as dotted-quad text."""
-        addr = _address(ip)
+        if type(ip) is not int:
+            ip = parse_ipv4(ip)
+        elif not 0 <= ip <= 0xFFFFFFFF:
+            raise FlowParseError(f"IPv4 address out of range: {ip}")
         for mask, nets in self._masked:
-            if addr & mask in nets:
+            if ip & mask in nets:
                 return True
         return False
 
 
-def _address(ip: int | str) -> int:
-    if type(ip) is not int:
-        return parse_ipv4(ip)
-    if not 0 <= ip <= 0xFFFFFFFF:
-        raise FlowParseError(f"IPv4 address out of range: {ip}")
-    return ip
-
-
-def load_blacklist(lines: Iterable[str], source_name: str = "blacklist",
-                   exact_only: bool = False) -> Blacklist:
+def load_blacklist(lines: Iterable[str],
+                   source_name: str = "blacklist") -> Blacklist:
     """Parse blacklist text: one address or CIDR per line, '#' comments.
 
-    Malformed lines are skipped and counted, never fatal.  With
-    ``exact_only`` CIDR entries are treated as malformed.
+    Malformed lines are skipped and counted, never fatal.
     """
     networks: dict[int, set[int]] = {}
     n_entries = 0
@@ -63,10 +57,6 @@ def load_blacklist(lines: Iterable[str], source_name: str = "blacklist",
     for raw in lines:
         entry = raw.split("#", 1)[0].strip()
         if not entry:
-            continue
-        if exact_only and "/" in entry:
-            log.warning("skipping CIDR entry in exact-only mode: %s", entry)
-            n_skipped += 1
             continue
         try:
             net = ipaddress.ip_network(entry, strict=False)
@@ -82,15 +72,7 @@ def load_blacklist(lines: Iterable[str], source_name: str = "blacklist",
     return Blacklist(source_name, frozen, n_entries, n_skipped)
 
 
-def check_flow(blacklist: Blacklist, flow_key: FlowKey,
-               observed_src_ip: int | str,
-               check_both_endpoints: bool = False) -> bool:
-    """True means block.  Checks the observed source IP (an int from the
-    key, or dotted-quad text); optionally also the other endpoint."""
-    if blacklist.contains(observed_src_ip):
-        return True
-    if check_both_endpoints:
-        src = _address(observed_src_ip)
-        other = (flow_key.dst_ip if flow_key.src_ip == src else flow_key.src_ip)
-        return blacklist.contains(other)
-    return False
+def check_flow(blacklist: Blacklist, observed_src_ip: int | str) -> bool:
+    """True means block.  Checks the flow's observed source IP (an int
+    from the key, or dotted-quad text)."""
+    return blacklist.contains(observed_src_ip)

@@ -185,23 +185,18 @@ def cmd_train_payload(args) -> int:
         raise DataError("corpus contains a single class")
     hyper = logistic.LogisticHyper(lam=args.lam, learning_rate=args.lr,
                                    max_iters=args.max_iters)
-    folds = metrics.stratified_kfold(y, args.k_folds, args.seed)
-    fold_metrics = []
-    for held_out in folds:
-        mask = np.ones(y.shape[0], dtype=bool)
-        mask[held_out] = False
-        train_idx = np.flatnonzero(mask)
+
+    def fit_predict(train_idx, held_out):
         featurizer = fit_featurizer([payloads[i] for i in train_idx])
         X_train = stack_dense([featurizer.featurize(payloads[i])
                                for i in train_idx])
         model, _ = logistic.train(X_train, y[train_idx], hyper)
         X_val = stack_dense([featurizer.featurize(payloads[i])
                              for i in held_out])
-        scores = logistic.predict_proba(model, X_val)
-        y_pred = (scores >= args.threshold).astype(int)
-        fold_metrics.append(metrics.metrics(
-            metrics.confusion(y[held_out], y_pred)))
-    _print_cv_table(fold_metrics)
+        return logistic.predict_proba(model, X_val) >= args.threshold
+
+    _print_cv_table(metrics.cross_validate(y, args.k_folds, args.seed,
+                                           fit_predict))
 
     featurizer = fit_featurizer(payloads)
     X = stack_dense([featurizer.featurize(p) for p in payloads])
@@ -218,16 +213,13 @@ def cmd_train_encrypted(args) -> int:
     if np.unique(y).size < 2:
         raise DataError("flow data contains a single class")
     hyper = tree.TreeHyper()
-    folds = metrics.stratified_kfold(y, args.k_folds, args.seed)
-    fold_metrics = []
-    for held_out in folds:
-        mask = np.ones(y.shape[0], dtype=bool)
-        mask[held_out] = False
-        model = tree.train(X[mask], y[mask], hyper)
-        y_pred = tree.predict(model, X[held_out])
-        fold_metrics.append(metrics.metrics(
-            metrics.confusion(y[held_out], y_pred)))
-    _print_cv_table(fold_metrics)
+
+    def fit_predict(train_idx, held_out):
+        return tree.predict(tree.train(X[train_idx], y[train_idx], hyper),
+                            X[held_out])
+
+    _print_cv_table(metrics.cross_validate(y, args.k_folds, args.seed,
+                                           fit_predict))
 
     model = tree.train(X, y, hyper)
     persistence.save_tree_model(args.model_out, model)

@@ -40,7 +40,6 @@ class EngineConfig:
     block_threshold: float = 0.5
     block_on_first_hit: bool = True
     window_hit_block_count: int = 1   # used when block_on_first_hit is off
-    check_both_endpoints: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.block_threshold < 1.0:
@@ -53,7 +52,6 @@ class EngineConfig:
 class FlowState:
     key: FlowKey
     sampler: AdaptiveSampler
-    current_window: int
     packets_in_epoch: int = 0
     window_hits: int = 0
     max_window_score: float = 0.0
@@ -132,8 +130,7 @@ class Engine:
 
     def _new_flow(self, packet: PacketRecord) -> FlowState:
         self.report.flows_seen += 1
-        sampler = AdaptiveSampler(self.config.sampler)
-        state = FlowState(packet.flow, sampler, sampler.current_window)
+        state = FlowState(packet.flow, AdaptiveSampler(self.config.sampler))
         self._flows[packet.flow] = state
         return state
 
@@ -147,8 +144,7 @@ class Engine:
             # blacklist check happens once, on flow creation
             src = (packet.flow.src_ip if packet.direction is Direction.FORWARD
                    else packet.flow.dst_ip)
-            if check_flow(self.blacklist, packet.flow, src,
-                          self.config.check_both_endpoints):
+            if check_flow(self.blacklist, src):
                 state.blocked = True
                 return self._emit(Verdict(VerdictKind.BLOCK, packet.flow,
                                           VerdictReason.BLACKLIST,
@@ -160,7 +156,7 @@ class Engine:
         position = state.packets_in_epoch
         state.packets_in_epoch += 1
         verdict = None
-        if position < state.current_window and not packet.encrypted:
+        if position < state.sampler.current_window and not packet.encrypted:
             self.report.packets_sampled += 1
             vec = self.featurizer.featurize(packet.payload_text())
             score = float(logistic.predict_proba(self.payload_model,
@@ -182,7 +178,7 @@ class Engine:
         if state.packets_in_epoch >= self.config.sampler.m:
             delta = state.window_hits
             max_score = state.max_window_score
-            state.current_window = state.sampler.step(delta)
+            state.sampler.step(delta)
             state.packets_in_epoch = 0
             state.window_hits = 0
             state.max_window_score = 0.0

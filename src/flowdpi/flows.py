@@ -159,6 +159,16 @@ def _timestamp(value: Any) -> float:
     return ts
 
 
+def _json_object(line: str, what: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:   # also a number past Python's digit limit
+        raise FlowParseError(f"bad JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FlowParseError(f"{what} must be a JSON object")
+    return obj
+
+
 def packet_from_json_line(line: str) -> PacketRecord:
     """Parse one packet-stream JSONL record.
 
@@ -169,12 +179,7 @@ def packet_from_json_line(line: str) -> PacketRecord:
     true or false (default false).  A value of another type is rejected,
     never coerced.
     """
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:   # also a number past Python's digit limit
-        raise FlowParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FlowParseError("packet record must be a JSON object")
+    obj = _json_object(line, "packet record")
     try:
         key, forward = canonicalize_flow_key(obj["src_ip"], obj["src_port"],
                                              obj["dst_ip"], obj["dst_port"],
@@ -225,16 +230,18 @@ class LabeledPayload:
 
 
 def labeled_payload_from_json_line(line: str) -> LabeledPayload:
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:   # also a number past Python's digit limit
-        raise FlowParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "payload" not in obj or "label" not in obj:
+    """Parse one training-corpus JSONL record: ``payload`` a string and
+    ``label`` the integer 0 or 1.  A value of another type is rejected,
+    never coerced."""
+    obj = _json_object(line, "corpus record")
+    if "payload" not in obj or "label" not in obj:
         raise FlowParseError("corpus record needs 'payload' and 'label'")
-    label = obj["label"]
-    if label not in (0, 1):
-        raise FlowParseError(f"label must be 0 or 1: {label!r}")
-    return LabeledPayload(str(obj["payload"]), int(label))
+    payload, label = obj["payload"], obj["label"]
+    if not isinstance(payload, str):
+        raise FlowParseError(f"payload must be a string: {payload!r}")
+    if type(label) is not int:   # true and 1.0 are not the integer 1
+        raise FlowParseError(f"label must be the integer 0 or 1: {label!r}")
+    return LabeledPayload(payload, label)
 
 
 class VerdictKind(Enum):

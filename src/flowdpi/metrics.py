@@ -1,5 +1,6 @@
 """Binary-classification evaluation: confusion matrix, threshold metrics,
-ROC/PR curves with trapezoidal AUC, and stratified k-fold splitting."""
+ROC/PR curves with trapezoidal AUC, and stratified k-fold
+cross-validation."""
 
 from __future__ import annotations
 
@@ -70,58 +71,49 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
                    frozenset(degenerate))
 
 
-def _sorted_score_groups(y_true, scores):
+def _sweep(y_true, scores):
+    """Walk the scores from high to low, tied scores collapsed into one
+    step.  Returns each step's threshold (the first score of its tie
+    group), the true and false positives at or above it, and the numbers
+    of positives and negatives."""
     y_true = np.asarray(y_true, dtype=int)
     scores = np.asarray(scores, dtype=float)
     if y_true.shape != scores.shape:
         raise ValueError("y_true and scores length mismatch")
     order = np.argsort(-scores, kind="stable")
-    return y_true[order], scores[order]
+    ys, ss = y_true[order], scores[order]
+    ends = np.ones(ss.shape, dtype=bool)   # last index of each tie group
+    ends[:-1] = ss[1:] != ss[:-1]
+    last = np.flatnonzero(ends)
+    first = np.flatnonzero(np.roll(ends, 1))   # each group starts after one
+    tp = np.cumsum(ys == 1)[last]
+    n_pos = int(ys.sum())
+    return ss[first], tp, last + 1 - tp, n_pos, ys.shape[0] - n_pos
 
 
 def roc_curve(y_true, scores) -> tuple[list[tuple[float, float, float]], float]:
     """ROC points swept over distinct scores (descending), tied scores
     collapsed into one step.  Returns ([(threshold, fpr, tpr)...], auc)
-    with AUC by the trapezoidal rule."""
-    ys, ss = _sorted_score_groups(y_true, scores)
-    n_pos = int(ys.sum())
-    n_neg = ys.shape[0] - n_pos
+    with AUC by the trapezoidal rule, summed in sweep order."""
+    thresholds, tp, fp, n_pos, n_neg = _sweep(y_true, scores)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC/AUC needs both classes present")
+    fpr = np.concatenate(([0.0], fp / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
     points = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = ys.shape[0]
-    while i < n:
-        thr = ss[i]
-        while i < n and ss[i] == thr:
-            tp += int(ys[i] == 1)
-            fp += int(ys[i] == 0)
-            i += 1
-        points.append((float(thr), fp / n_neg, tp / n_pos))
-    auc = 0.0
-    for (_, x0, y0), (_, x1, y1) in zip(points[:-1], points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
+    points += zip(thresholds.tolist(), fpr[1:].tolist(), tpr[1:].tolist())
     return points, float(auc)
 
 
 def pr_curve(y_true, scores) -> list[tuple[float, float, float]]:
     """Precision-recall points: [(threshold, recall, precision)...]."""
-    ys, ss = _sorted_score_groups(y_true, scores)
-    n_pos = int(ys.sum())
+    thresholds, tp, fp, n_pos, _ = _sweep(y_true, scores)
     if n_pos == 0:
         raise ValueError("PR curve needs at least one positive sample")
     points = [(float("inf"), 0.0, 1.0)]
-    tp = fp = 0
-    i = 0
-    n = ys.shape[0]
-    while i < n:
-        thr = ss[i]
-        while i < n and ss[i] == thr:
-            tp += int(ys[i] == 1)
-            fp += int(ys[i] == 0)
-            i += 1
-        points.append((float(thr), tp / n_pos, tp / (tp + fp)))
+    points += zip(thresholds.tolist(), (tp / n_pos).tolist(),
+                  (tp / (tp + fp)).tolist())
     return points
 
 
@@ -177,3 +169,18 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
         for j, sample in enumerate(idx):
             folds[j % k].append(int(sample))
     return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
+def cross_validate(y, k: int, seed: int, fit_predict) -> list[Metrics]:
+    """Stratified k-fold cross-validation: the metrics of each held-out
+    fold.  ``fit_predict(train_idx, held_out)`` fits on the rows at
+    ``train_idx`` and returns 0/1 predictions for the rows at
+    ``held_out``."""
+    y = np.asarray(y)
+    fold_metrics = []
+    for held_out in stratified_kfold(y, k, seed):
+        mask = np.ones(y.shape[0], dtype=bool)
+        mask[held_out] = False
+        y_pred = fit_predict(np.flatnonzero(mask), held_out)
+        fold_metrics.append(metrics(confusion(y[held_out], y_pred)))
+    return fold_metrics

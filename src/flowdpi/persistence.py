@@ -12,7 +12,8 @@ from typing import Any
 import numpy as np
 
 from .logistic import LogisticModel
-from .textfeat import Featurizer, NormalizationParams, TfIdfModel
+from .textfeat import (N_LINGUISTIC, Featurizer, NormalizationParams,
+                       TfIdfModel)
 from .tree import DecisionTreeModel, TreeNode
 
 PAYLOAD_SCHEMA = "flowdpi/payload-logistic/1"
@@ -35,11 +36,21 @@ def featurizer_to_dict(f: Featurizer) -> dict:
 
 
 def featurizer_from_dict(obj: dict) -> Featurizer:
-    vocab = {t: i for i, t in enumerate(obj["vocabulary"])}
-    tfidf = TfIdfModel(vocab, tuple(float(v) for v in obj["idf"]),
-                       int(obj["n_docs"]))
-    norm = NormalizationParams(tuple(float(v) for v in obj["l_min"]),
-                               tuple(float(v) for v in obj["l_max"]))
+    """Featurizer from its saved form; every field is type-checked and a
+    malformed one raises ``ValueError`` with the reason."""
+    where = "featurizer: "
+    vocabulary = _typed(obj, "vocabulary", list, where)
+    if not {str}.issuperset(map(type, vocabulary)):
+        raise ValueError(f"{where}'vocabulary' must hold only strings")
+    vocab = {t: i for i, t in enumerate(vocabulary)}
+    if len(vocab) != len(vocabulary):
+        raise ValueError(f"{where}'vocabulary' holds a repeated tri-gram")
+    idf = _numbers(obj, "idf", where, len(vocabulary))
+    tfidf = TfIdfModel(vocab, tuple(float(v) for v in idf),
+                       _typed(obj, "n_docs", int, where))
+    norm = NormalizationParams(
+        tuple(float(v) for v in _numbers(obj, "l_min", where, N_LINGUISTIC)),
+        tuple(float(v) for v in _numbers(obj, "l_max", where, N_LINGUISTIC)))
     return Featurizer(tfidf, norm)
 
 
@@ -59,13 +70,17 @@ def save_payload_model(path, featurizer: Featurizer,
 
 def load_payload_model(path) -> tuple[Featurizer, LogisticModel]:
     doc = _load_schema(path, PAYLOAD_SCHEMA)
-    featurizer = featurizer_from_dict(doc["featurizer"])
-    model = LogisticModel(np.array(doc["weights"], dtype=float),
-                          float(doc["bias"]), float(doc["lambda"]))
-    if model.dim != featurizer.dim:
-        raise ModelFormatError(
-            f"weight dimension {model.dim} does not match featurizer "
-            f"dimension {featurizer.dim}")
+    try:
+        featurizer = featurizer_from_dict(_typed(doc, "featurizer", dict))
+        model = LogisticModel(np.array(_numbers(doc, "weights"), dtype=float),
+                              float(_typed(doc, "bias", _NUMBER)),
+                              float(_typed(doc, "lambda", _NUMBER)))
+        if model.dim != featurizer.dim:
+            raise ValueError(
+                f"weight dimension {model.dim} does not match featurizer "
+                f"dimension {featurizer.dim}")
+    except (ValueError, OverflowError) as exc:   # e.g. a 400-digit bias
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return featurizer, model
 
 
@@ -117,16 +132,37 @@ def _tree_node(obj: Any, i: int) -> TreeNode:
                     proba=float(_typed(obj, "proba", _NUMBER, where)))
 
 
+_KIND_NAMES = {int: "an integer", _NUMBER: "a number", list: "a list",
+               dict: "an object"}
+
+
 def _typed(obj: dict, key: str, kinds, where: str = ""):
-    """``obj[key]``, which must be a JSON integer (``kinds`` int) or a JSON
-    number (``_NUMBER``); JSON true/false are neither."""
+    """``obj[key]``, which must be of the JSON type ``kinds`` names: int
+    (an integer), ``_NUMBER``, list or dict (an object).  JSON true/false
+    are neither integer nor number."""
     if key not in obj:
         raise ValueError(f"{where}missing '{key}'")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds is int else "a number"
-        raise ValueError(f"{where}'{key}' must be {kind}: {value!r}")
+        raise ValueError(
+            f"{where}'{key}' must be {_KIND_NAMES[kinds]}: {value!r}")
     return value
+
+
+def _numbers(obj: dict, key: str, where: str = "",
+             length: int | None = None) -> list:
+    """``obj[key]``, which must be a list of JSON numbers, of ``length``
+    entries when that is given."""
+    values = _typed(obj, key, list, where)
+    if length is not None and len(values) != length:
+        raise ValueError(f"{where}'{key}' must hold {length} numbers, "
+                         f"has {len(values)}")
+    if not {int, float}.issuperset(map(type, values)):
+        i = next(i for i, v in enumerate(values)
+                 if type(v) is not int and type(v) is not float)
+        raise ValueError(
+            f"{where}'{key}'[{i}] must be a number: {values[i]!r}")
+    return values
 
 
 def peek_schema(path) -> str:

@@ -19,30 +19,28 @@ class InsufficientHistoryError(ValueError):
     """Prediction requested with fewer than three recorded samples."""
 
 
+# window change when the hit count repeats on a flat window, or when the
+# window is flat and the ratio rule would freeze it
+EQUAL_DELTA_GROWTH = 5
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Epoch length m, window bounds (the first window is w_min) and the
+    number of (window, hit count) samples the prediction looks back on."""
+
     m: int = 100
     w_min: int = 5
     w_max: int = 15
     history_len: int = 10
-    w_init: int | None = None          # defaults to w_min
-    equal_delta_growth: int = 5
 
     def __post_init__(self):
-        w_init = self.initial_window
-        if not (1 <= self.w_min <= w_init <= self.w_max <= self.m):
+        if not (1 <= self.w_min <= self.w_max <= self.m):
             raise ValueError(
-                f"need 1 <= w_min <= w_init <= w_max <= m, got "
-                f"w_min={self.w_min} w_init={w_init} "
+                f"need 1 <= w_min <= w_max <= m, got w_min={self.w_min} "
                 f"w_max={self.w_max} m={self.m}")
         if self.history_len < 3:
             raise ValueError("history_len must be >= 3")
-        if self.equal_delta_growth < 1:
-            raise ValueError("equal_delta_growth must be >= 1")
-
-    @property
-    def initial_window(self) -> int:
-        return self.w_min if self.w_init is None else self.w_init
 
 
 Sample = Tuple[int, int]   # (window size w_i, malicious count delta_i)
@@ -61,17 +59,19 @@ def predict_next(history: Sequence[Sample], delta_w: float) -> float:
         raise InsufficientHistoryError(
             f"need at least 3 samples, have {len(history)}")
     d_n = history[-2][1]
-    slopes = []
+    # summed left to right: builtin sum() rounds differently from 3.12 on
+    total, kept = 0.0, 0
     for (w_a, d_a), (w_b, d_b) in zip(history[:-2], history[1:-1]):
         if w_b != w_a:
-            slopes.append((d_b - d_a) / (w_b - w_a))
-    if not slopes:
+            total += (d_b - d_a) / (w_b - w_a)
+            kept += 1
+    if not kept:
         return float(d_n)
-    return d_n + delta_w * (sum(slopes) / len(slopes))
+    return d_n + delta_w * (total / kept)
 
 
-def window_delta(history: Sequence[Sample], predicted: float, actual: float,
-                 config: SamplerConfig) -> float:
+def window_delta(history: Sequence[Sample], predicted: float,
+                 actual: float) -> float:
     """Change to apply to the window size for the next sample."""
     w_n, d_n = history[-2]
     w_n1 = history[-1][0]
@@ -79,13 +79,13 @@ def window_delta(history: Sequence[Sample], predicted: float, actual: float,
     if actual == d_n:
         # ratio undefined: grow on a flat window, otherwise back off
         if w_n1 == w_n:
-            return float(config.equal_delta_growth)
+            return float(EQUAL_DELTA_GROWTH)
         return -dw / 2.0
     if predicted == actual:
         return 0.0
     if dw == 0:
         # the ratio rule would freeze the window forever; force movement
-        return float(config.equal_delta_growth)
+        return float(EQUAL_DELTA_GROWTH)
     ratio = (predicted - d_n) / (actual - d_n)
     return -math.copysign(1.0, predicted - actual) * abs(ratio * dw)
 
@@ -109,7 +109,7 @@ class AdaptiveSampler:
 
     def __post_init__(self):
         self.history = deque(maxlen=self.config.history_len)
-        self.current_window = self.config.initial_window
+        self.current_window = self.config.w_min
 
     def record_sample(self, w: int, delta: int) -> None:
         if not 0 <= delta <= w:
@@ -119,20 +119,23 @@ class AdaptiveSampler:
                              f"[{self.config.w_min}, {self.config.w_max}]")
         self.history.append((w, delta))
 
-    def step(self, delta_latest: int) -> int:
-        """Record the completed window's hit count, return the next window."""
+    def step(self, delta_latest: int) -> tuple[float | None, float | None]:
+        """Record the completed window's hit count and move
+        ``current_window`` to the next window.
+
+        Returns the predicted hit count and the window change; both are
+        None while fewer than three samples are recorded.
+        """
         self.record_sample(self.current_window, delta_latest)
         if len(self.history) < 3:
-            self.current_window = self.config.initial_window
-            return self.current_window
+            self.current_window = self.config.w_min
+            return None, None
         hist = list(self.history)
-        dw = hist[-1][0] - hist[-2][0]
-        predicted = predict_next(hist, dw)
-        dw_next = window_delta(hist, predicted, float(delta_latest),
-                               self.config)
+        predicted = predict_next(hist, hist[-1][0] - hist[-2][0])
+        dw_next = window_delta(hist, predicted, float(delta_latest))
         self.current_window = next_window(self.current_window, dw_next,
                                           self.config)
-        return self.current_window
+        return predicted, dw_next
 
 
 @dataclass(frozen=True)
@@ -155,15 +158,5 @@ def trace(config: SamplerConfig, deltas: Sequence[int]) -> list[TraceRow]:
     for i, raw in enumerate(deltas):
         w = sampler.current_window
         delta = max(0, min(int(raw), w))
-        sampler.record_sample(w, delta)
-        if len(sampler.history) < 3:
-            sampler.current_window = config.initial_window
-            rows.append(TraceRow(i, w, delta, None, None))
-            continue
-        hist = list(sampler.history)
-        dw = hist[-1][0] - hist[-2][0]
-        predicted = predict_next(hist, dw)
-        dw_next = window_delta(hist, predicted, float(delta), config)
-        sampler.current_window = next_window(w, dw_next, config)
-        rows.append(TraceRow(i, w, delta, predicted, dw_next))
+        rows.append(TraceRow(i, w, delta, *sampler.step(delta)))
     return rows

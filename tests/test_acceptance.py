@@ -40,7 +40,9 @@ def criterion(tag: str, description: str):
 # --- C1: independent sampler oracle -----------------------------------
 
 def _oracle_trace(deltas, w_min=5, w_max=15, hist_len=10, growth=5):
-    """Straight-line re-derivation of the adaptive window loop."""
+    """Straight-line re-derivation of the adaptive window loop: one
+    (w, delta, predicted, dw_next) row per window, the last two None
+    while fewer than three samples are recorded."""
     hist = []
     w = w_min
     rows = []
@@ -49,8 +51,8 @@ def _oracle_trace(deltas, w_min=5, w_max=15, hist_len=10, growth=5):
         hist.append((w, d))
         if len(hist) > hist_len:
             hist.pop(0)
-        rows.append((w, d))
         if len(hist) < 3:
+            rows.append((w, d, None, None))
             w = w_min
             continue
         dw = hist[-1][0] - hist[-2][0]
@@ -73,6 +75,7 @@ def _oracle_trace(deltas, w_min=5, w_max=15, hist_len=10, growth=5):
         else:
             ratio = (pred - d_n) / (actual - d_n)
             dwn = -(1.0 if pred > actual else -1.0) * abs(ratio * dw)
+        rows.append((w, d, pred, dwn))
         x = w + dwn
         rounded = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
         w = max(w_min, min(w_max, int(rounded)))
@@ -87,7 +90,8 @@ def test_c1_sampler_matches_independent_oracle():
         for _ in range(1000):
             deltas = rng.integers(0, 16,
                                   size=int(rng.integers(1, 51))).tolist()
-            got = [(r.w, r.delta) for r in trace(cfg, deltas)]
+            got = [(r.w, r.delta, r.predicted, r.dw_next)
+                   for r in trace(cfg, deltas)]
             assert got == _oracle_trace(deltas)
         assert time.monotonic() - start < 5.0
 
@@ -99,7 +103,7 @@ def test_c1_hand_trace():
         history = [(5, 1), (7, 2), (9, 4)]
         predicted = predict_next(history, 9 - 7)
         assert predicted == 3.0
-        dw_next = window_delta(history, predicted, 4, cfg)
+        dw_next = window_delta(history, predicted, 4)
         assert dw_next == 1.0
         assert next_window(9, dw_next, cfg) == 10
 
@@ -114,8 +118,8 @@ def test_c2_window_bounds_over_random_steps():
         sampler = AdaptiveSampler(cfg)
         for _ in range(10000):
             d = int(rng.integers(0, sampler.current_window + 1))
-            w = sampler.step(d)
-            assert cfg.w_min <= w <= cfg.w_max
+            sampler.step(d)
+            assert cfg.w_min <= sampler.current_window <= cfg.w_max
 
 
 def test_c2_growth_branch_strictly_increases():
@@ -131,7 +135,8 @@ def test_c2_growth_branch_strictly_increases():
                 # keep feeding the same count while the window is flat;
                 # this only exercises the growth branch right after a
                 # flat pair, so step until the clamp is reached
-                w = sampler.step(min(d, sampler.current_window))
+                sampler.step(min(d, sampler.current_window))
+                w = sampler.current_window
                 if prev < cfg.w_max and sampler.history[-1][0] == \
                         sampler.history[-2][0] and \
                         sampler.history[-1][1] == sampler.history[-2][1]:

@@ -193,6 +193,54 @@ class TestEval:
                      "--report-out", str(tmp_path / "r.json")]) == 3
         assert f"{bad}: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, reason", [
+        (("bias",), None, "missing 'bias'"),
+        (("bias",), "0.5", "'bias' must be a number: '0.5'"),
+        (("lambda",), True, "'lambda' must be a number: True"),
+        (("weights",), {}, "'weights' must be a list: {}"),
+        (("weights", 0), "1.5", "'weights'[0] must be a number: '1.5'"),
+        (("featurizer",), [], "'featurizer' must be an object: []"),
+        (("featurizer", "vocabulary", 0), 7,
+         "featurizer: 'vocabulary' must hold only strings"),
+        (("featurizer", "vocabulary", 1), "<0>",
+         "featurizer: 'vocabulary' holds a repeated tri-gram"),
+        (("featurizer", "idf", 0), "1.5",
+         "featurizer: 'idf'[0] must be a number: '1.5'"),
+        (("featurizer", "idf"), [1.5],
+         "featurizer: 'idf' must hold 3 numbers, has 1"),
+        (("featurizer", "l_min"), [0.0] * 4,
+         "featurizer: 'l_min' must hold 5 numbers, has 4"),
+        (("featurizer", "l_max", 4), None,
+         "featurizer: 'l_max'[4] must be a number: None"),
+        (("featurizer", "n_docs"), 120.0,
+         "featurizer: 'n_docs' must be an integer: 120.0"),
+    ])
+    def test_payload_model_malformed_field_is_model_error(
+            self, payload_model_file, corpus_file, tmp_path, capsys,
+            path, value, reason):
+        # a missing key used to end in a KeyError traceback with exit 1,
+        # and "idf": ["1.5", ...] used to be coerced to numbers
+        doc = json.loads(payload_model_file.read_text())
+        # a three-tri-gram vocabulary keeps the expected messages short
+        featurizer = doc["featurizer"]
+        featurizer["vocabulary"] = ["<0>", "<1>", "<2>"]
+        featurizer["idf"] = featurizer["idf"][:3]
+        doc["weights"] = doc["weights"][:3] + doc["weights"][-5:]
+        *parents, last = path
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        if value is None and isinstance(owner, dict):
+            del owner[last]
+        else:
+            owner[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), str(corpus_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        assert f"{bad}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nonsense/9"}')
@@ -293,7 +341,7 @@ class TestSampleTrace:
         assert main(["sample-trace", str(inp), "--output", str(out),
                      "--w-min", "6", "--w-max", "12"]) == 0
         rows = out.read_text().strip().splitlines()
-        assert rows[1].startswith("0,6,0")   # w_init follows w_min
+        assert rows[1].startswith("0,6,0")   # the first window is w_min
         assert all(6 <= int(r.split(",")[1]) <= 12 for r in rows[1:])
 
     def test_headerless_and_empty_input(self, tmp_path, capsys):

@@ -85,7 +85,7 @@ def test_benign_epoch_samples_window_and_records_delta(payload_classifier):
         verdict = engine.process_packet(packet_from_json_line(line))
         assert verdict is None
     assert engine.report.packets_seen == 100
-    assert engine.report.packets_sampled == 5   # w_init = w_min = 5
+    assert engine.report.packets_sampled == 5   # first window = w_min = 5
     state = next(iter(engine._flows.values()))
     assert list(state.sampler.history) == [(5, 0)]
     assert state.epoch_index == 1

@@ -249,6 +249,30 @@ def test_labeled_payload_parsing():
         labeled_payload_from_json_line('{"payload": "/a"}')
 
 
+@pytest.mark.parametrize("value", [None, 5, ["/a"], {"a": 1}, True])
+def test_corpus_payload_must_be_a_string(value):
+    # null used to be trained on as the text "None", 5 as "5"
+    line = json.dumps({"payload": value, "label": 1})
+    with pytest.raises(FlowParseError, match="payload must be a string"):
+        labeled_payload_from_json_line(line)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0, "1", None])
+def test_corpus_label_must_be_the_integer_0_or_1(value):
+    # true and 1.0 used to load as label 1
+    line = json.dumps({"payload": "/a", "label": value})
+    with pytest.raises(FlowParseError,
+                       match="label must be the integer 0 or 1"):
+        labeled_payload_from_json_line(line)
+
+
+@pytest.mark.parametrize("line", ['["/a", 1]', '"/a"', "7"])
+def test_corpus_record_must_be_a_json_object(line):
+    with pytest.raises(FlowParseError,
+                       match="corpus record must be a JSON object"):
+        labeled_payload_from_json_line(line)
+
+
 def test_verdict_score_contract():
     key, _ = canonicalize_flow_key("10.0.0.1", 1, "10.0.0.2", 2, "TCP")
     Verdict(VerdictKind.BLOCK, key, VerdictReason.PAYLOAD_CLASSIFIER, 0.9)

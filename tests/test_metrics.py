@@ -105,6 +105,56 @@ class TestRoc:
         assert auc == pytest.approx(_pairwise_auc(y, scores), abs=1e-9)
 
 
+def _reference_curves(y_true, scores):
+    """The tie-grouping loop the curves used before the numpy sweep:
+    (roc points, auc, pr points)."""
+    y_true = np.asarray(y_true, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    ys, ss = y_true[order], scores[order]
+    n_pos = int(ys.sum())
+    n_neg = ys.shape[0] - n_pos
+    roc = [(float("inf"), 0.0, 0.0)]
+    pr = [(float("inf"), 0.0, 1.0)]
+    tp = fp = 0
+    i = 0
+    n = ys.shape[0]
+    while i < n:
+        thr = ss[i]
+        while i < n and ss[i] == thr:
+            tp += int(ys[i] == 1)
+            fp += int(ys[i] == 0)
+            i += 1
+        roc.append((float(thr), fp / n_neg, tp / n_pos))
+        pr.append((float(thr), tp / n_pos, tp / (tp + fp)))
+    auc = 0.0
+    for (_, x0, y0), (_, x1, y1) in zip(roc[:-1], roc[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return roc, float(auc), pr
+
+
+# a few repeated values (and -0.0, equal to 0.0) make ties likely
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                    st.floats(0.0, 1.0))
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), _SCORES), min_size=2,
+                max_size=80),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_curves_equal_the_reference_loop_exactly(pairs, force_ties):
+    y = [label for label, _ in pairs]
+    y[0], y[1] = 0, 1
+    scores = [round(s, 1) if force_ties else s for _, s in pairs]
+    roc, auc, pr = _reference_curves(y, scores)
+    got_roc, got_auc = roc_curve(y, scores)
+    got_pr = pr_curve(y, scores)
+    assert got_roc == roc and got_pr == pr
+    # repr also tells -0.0 from 0.0 and a numpy scalar from a float
+    assert repr(got_roc) == repr(roc) and repr(got_pr) == repr(pr)
+    assert repr(got_auc) == repr(auc)
+
+
 class TestPr:
     def test_basic_points(self):
         points = pr_curve([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.6])

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdpi.sampler import (AdaptiveSampler, InsufficientHistoryError,
-                             SamplerConfig, next_window, predict_next, trace,
-                             window_delta)
+from flowdpi.sampler import (EQUAL_DELTA_GROWTH, AdaptiveSampler,
+                             InsufficientHistoryError, SamplerConfig,
+                             next_window, predict_next, trace, window_delta)
 
 CFG = SamplerConfig()
 
@@ -29,30 +29,25 @@ class TestPredictNext:
 class TestWindowDelta:
     def test_equal_delta_equal_window_grows(self):
         hist = [(5, 1), (9, 2), (9, 2)]
-        assert window_delta(hist, 2.5, 2, CFG) == 5.0
+        assert window_delta(hist, 2.5, 2) == EQUAL_DELTA_GROWTH == 5
 
     def test_equal_delta_unequal_window_backs_off(self):
         hist = [(5, 1), (7, 2), (9, 2)]
-        assert window_delta(hist, 2.5, 2, CFG) == -1.0   # -dw/2 = -2/2
+        assert window_delta(hist, 2.5, 2) == -1.0   # -dw/2 = -2/2
 
     def test_exact_prediction_keeps_window(self):
         hist = [(5, 1), (7, 2), (9, 3)]
-        assert window_delta(hist, 3.0, 3, CFG) == 0.0
+        assert window_delta(hist, 3.0, 3) == 0.0
 
     def test_hand_trace_ratio_branch(self):
         # R = (3-2)/(4-2) = 0.5, dw = 2 -> -sign(3-4)*|0.5*2| = +1
         hist = [(5, 1), (7, 2), (9, 4)]
-        assert window_delta(hist, 3.0, 4, CFG) == 1.0
+        assert window_delta(hist, 3.0, 4) == 1.0
 
     def test_zero_dw_deviation_forces_movement(self):
         # flat window with changing delta would freeze the ratio rule
         hist = [(5, 1), (9, 2), (9, 4)]
-        assert window_delta(hist, 2.0, 4, CFG) == 5.0
-
-    def test_custom_growth_constant(self):
-        cfg = SamplerConfig(equal_delta_growth=3)
-        hist = [(5, 1), (9, 2), (9, 2)]
-        assert window_delta(hist, 2.5, 2, cfg) == 3.0
+        assert window_delta(hist, 2.0, 4) == 5.0
 
 
 class TestNextWindow:
@@ -99,30 +94,39 @@ class TestRecordSample:
 class TestStep:
     def test_warm_up_returns_initial_window(self):
         s = AdaptiveSampler(CFG)
-        assert s.step(0) == CFG.initial_window
-        assert s.step(1) == CFG.initial_window
+        assert s.current_window == CFG.w_min
+        assert s.step(0) == (None, None)
+        assert s.current_window == CFG.w_min
+        assert s.step(1) == (None, None)
+        assert s.current_window == CFG.w_min
 
     def test_hand_trace_full_loop(self):
         s = AdaptiveSampler(CFG)
         s.record_sample(5, 1)
         s.record_sample(7, 2)
         s.current_window = 9
-        assert s.step(4) == 10
+        assert s.step(4) == (3.0, 1.0)
+        assert s.current_window == 10
 
     def test_growth_branch_from_cold_start(self):
         # third step sees history (5,0),(5,0),(5,0): equal deltas, equal
-        # windows, so the window must grow by equal_delta_growth
+        # windows, so the window must grow by EQUAL_DELTA_GROWTH
         s = AdaptiveSampler(CFG)
         s.step(0)
         s.step(0)
-        assert s.step(0) == 10
+        s.step(0)
+        assert s.current_window == 10
 
     def test_determinism(self):
         deltas = [0, 1, 3, 2, 0, 5, 4, 1, 0, 2, 3, 3]
         runs = []
         for _ in range(2):
             s = AdaptiveSampler(CFG)
-            runs.append([s.step(min(d, s.current_window)) for d in deltas])
+            run = []
+            for d in deltas:
+                s.step(min(d, s.current_window))
+                run.append(s.current_window)
+            runs.append(run)
         assert runs[0] == runs[1]
 
 
@@ -132,8 +136,8 @@ class TestStep:
 def test_windows_always_within_bounds(deltas, _seed):
     s = AdaptiveSampler(CFG)
     for d in deltas:
-        w = s.step(min(d, s.current_window))
-        assert CFG.w_min <= w <= CFG.w_max
+        s.step(min(d, s.current_window))
+        assert CFG.w_min <= s.current_window <= CFG.w_max
 
 
 @given(st.integers(5, 15), st.integers(0, 5))
@@ -142,7 +146,8 @@ def test_growth_branch_strictly_grows_until_clamped(w, delta):
     s = AdaptiveSampler(CFG)
     s.history.extend([(w, delta), (w, delta)])
     s.current_window = w
-    new_w = s.step(delta)
+    s.step(delta)
+    new_w = s.current_window
     if w < CFG.w_max:
         assert new_w > w
     else:
@@ -169,5 +174,3 @@ def test_config_validation():
         SamplerConfig(history_len=2)
     with pytest.raises(ValueError):
         SamplerConfig(w_max=200, m=100)
-    with pytest.raises(ValueError):
-        SamplerConfig(equal_delta_growth=0)
