@@ -10,7 +10,7 @@ from .engine import Engine, EngineConfig, EngineReport
 from .flows import (FlowKey, LabeledPayload, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, canonicalize_flow_key)
 from .sampler import AdaptiveSampler, SamplerConfig
-from .textfeat import Featurizer, fit_featurizer
+from .textfeat import Featurizer, fit_featurizer, tokenize
 
 __all__ = [
     "AdaptiveSampler",
@@ -30,6 +30,7 @@ __all__ = [
     "check_flow",
     "fit_featurizer",
     "load_blacklist",
+    "tokenize",
 ]
 
 __version__ = "0.1.0"

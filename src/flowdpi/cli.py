@@ -24,7 +24,7 @@ from .engine import (Engine, EngineConfig, EngineConfigError,
                      ReplayDataError, write_actions_csv)
 from .flows import FlowParseError, labeled_payload_from_json_line
 from .sampler import SamplerConfig, trace
-from .textfeat import fit_featurizer, stack_dense
+from .textfeat import fit_featurizer, stack_dense, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -47,18 +47,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def integer(text: str) -> int:
+    """``int`` of ASCII text: no ``_`` separators, no non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """``float`` of ASCII text: no ``_`` separators, no non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
 # (flag dest, config-file key, type, default)
 _OPTION_SPEC = [
-    ("seed", int, 42),
-    ("lam", float, 1.0),
-    ("lr", float, 0.5),
-    ("max_iters", int, 5000),
-    ("k_folds", int, 5),
-    ("m", int, 100),
-    ("w_min", int, 5),
-    ("w_max", int, 15),
-    ("history", int, 10),
-    ("threshold", float, 0.5),
+    ("seed", integer, 42),
+    ("lam", number, 1.0),
+    ("lr", number, 0.5),
+    ("max_iters", integer, 5000),
+    ("k_folds", integer, 5),
+    ("m", integer, 100),
+    ("w_min", integer, 5),
+    ("w_max", integer, 15),
+    ("history", integer, 10),
+    ("threshold", number, 0.5),
 ]
 _OPTION_TYPES = {name: typ for name, typ, _ in _OPTION_SPEC}
 _OPTION_DEFAULTS = {name: default for name, _, default in _OPTION_SPEC}
@@ -68,20 +85,20 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value config file; command-line flags "
                              "override it")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
+    parser.add_argument("--seed", type=integer, default=None)
+    parser.add_argument("--lambda", dest="lam", type=number, default=None,
                         help="L2 strength for logistic regression")
-    parser.add_argument("--lr", type=float, default=None,
+    parser.add_argument("--lr", type=number, default=None,
                         help="gradient-descent learning rate")
-    parser.add_argument("--max-iters", type=int, default=None)
-    parser.add_argument("--k-folds", type=int, default=None)
-    parser.add_argument("--m", type=int, default=None,
+    parser.add_argument("--max-iters", type=integer, default=None)
+    parser.add_argument("--k-folds", type=integer, default=None)
+    parser.add_argument("--m", type=integer, default=None,
                         help="packets per sampling epoch")
-    parser.add_argument("--w-min", type=int, default=None)
-    parser.add_argument("--w-max", type=int, default=None)
-    parser.add_argument("--history", type=int, default=None,
+    parser.add_argument("--w-min", type=integer, default=None)
+    parser.add_argument("--w-max", type=integer, default=None)
+    parser.add_argument("--history", type=integer, default=None,
                         help="sampler history length")
-    parser.add_argument("--threshold", type=float, default=None,
+    parser.add_argument("--threshold", type=number, default=None,
                         help="block threshold on classifier scores")
     parser.add_argument("--strict", action="store_true", default=None,
                         help="abort on malformed input records")
@@ -105,12 +122,17 @@ def _load_config_file(path: Path) -> dict:
         if key not in known:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
         if key == "strict":
-            values[key] = value.lower() in ("1", "true", "yes", "on")
+            word = value.lower()
+            if word not in _TRUE_WORDS + _FALSE_WORDS:
+                raise UsageError(
+                    f"{path}:{line_no}: strict must be one of "
+                    f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)}: {value!r}")
+            values[key] = word in _TRUE_WORDS
         else:
             try:
                 values[key] = _OPTION_TYPES[key](value)
             except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: {exc}") from exc
+                raise UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
     return values
 
 
@@ -186,20 +208,20 @@ def cmd_train_payload(args) -> int:
     hyper = logistic.LogisticHyper(lam=args.lam, learning_rate=args.lr,
                                    max_iters=args.max_iters)
 
+    corpus = tokenize(payloads)
+
     def fit_predict(train_idx, held_out):
-        featurizer = fit_featurizer([payloads[i] for i in train_idx])
-        X_train = stack_dense([featurizer.featurize(payloads[i])
-                               for i in train_idx])
+        featurizer = fit_featurizer(corpus, train_idx)
+        X_train = stack_dense(featurizer, corpus, train_idx)
         model, _ = logistic.train(X_train, y[train_idx], hyper)
-        X_val = stack_dense([featurizer.featurize(payloads[i])
-                             for i in held_out])
+        X_val = stack_dense(featurizer, corpus, held_out)
         return logistic.predict_proba(model, X_val) >= args.threshold
 
     _print_cv_table(metrics.cross_validate(y, args.k_folds, args.seed,
                                            fit_predict))
 
-    featurizer = fit_featurizer(payloads)
-    X = stack_dense([featurizer.featurize(p) for p in payloads])
+    featurizer = fit_featurizer(corpus)
+    X = stack_dense(featurizer, corpus)
     model, info = logistic.train(X, y, hyper)
     persistence.save_payload_model(args.model_out, featurizer, model)
     print(f"wrote {args.model_out} "
@@ -241,7 +263,7 @@ def cmd_eval(args) -> int:
     if schema == persistence.PAYLOAD_SCHEMA:
         featurizer, model = persistence.load_payload_model(args.model)
         payloads, y = _read_labeled_corpus(args.dataset)
-        X = stack_dense([featurizer.featurize(p) for p in payloads])
+        X = stack_dense(featurizer, tokenize(payloads))
         scores = logistic.predict_proba(model, X)
     elif schema == persistence.TREE_SCHEMA:
         model = persistence.load_tree_model(args.model)
@@ -317,10 +339,14 @@ def cmd_sample_trace(args) -> int:
         cell = line.split(",", 1)[0].strip()
         if not cell or (line_no == 1 and cell.lower() == "delta"):
             continue
-        try:
-            deltas.append(int(cell))
-        except ValueError as exc:
-            raise DataError(f"{args.input}:{line_no}: {exc}") from exc
+        if cell.startswith("-") and cell[1:].isascii() \
+                and cell[1:].isdigit():
+            raise DataError(f"{args.input}:{line_no}: negative hit count "
+                            f"{cell!r}")
+        if not (cell.isascii() and cell.isdigit()):
+            raise DataError(f"{args.input}:{line_no}: hit count {cell!r} "
+                            f"is not a whole number in ASCII digits")
+        deltas.append(int(cell))
     rows = trace(_sampler_config(args), deltas)
     out = open(args.output, "w", encoding="utf-8", newline="") \
         if args.output else sys.stdout
@@ -411,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, persistence.ModelReadError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (persistence.ModelFormatError, EngineConfigError,

@@ -3,6 +3,7 @@ gradient descent with backtracking line search."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +57,20 @@ def loss_grad(model: LogisticModel, X, y):
     unregularized.  Returns (loss, grad_weights, grad_bias).
     """
     X, y = _check_xy(model, X, np.asarray(y))
+    return _loss_grad(X, y, model.weights, model.bias, model.lam)
+
+
+def _loss_grad(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+               lam: float):
+    """``loss_grad`` on checked float arrays."""
     n = X.shape[0]
-    z = X @ model.weights + model.bias
+    z = X @ w + b
     # logaddexp(0, z) - y*z == -[y ln h + (1-y) ln(1-h)], stable for large |z|
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    loss += model.lam / (2 * n) * float(model.weights @ model.weights)
-    h = sigmoid(z)
-    grad_w = X.T @ (h - y) / n + model.lam / n * model.weights
-    grad_b = float(np.mean(h - y))
+    loss += lam / (2 * n) * float(w @ w)
+    residual = sigmoid(z) - y
+    grad_w = X.T @ residual / n + lam / n * w
+    grad_b = float(np.mean(residual))
     return loss, grad_w, grad_b
 
 
@@ -97,8 +104,11 @@ def train(X, y, hyper: LogisticHyper = LogisticHyper()
     if classes.size < 2:
         raise ValueError("training needs both classes present")
     model = LogisticModel(np.zeros(X.shape[1]), 0.0, hyper.lam)
+    if y.shape[0] != X.shape[0]:
+        raise ValueError("X and y length mismatch")
+    w, b, lam = model.weights, model.bias, model.lam
     info = FitInfo()
-    loss, grad_w, grad_b = loss_grad(model, X, y)
+    loss, grad_w, grad_b = _loss_grad(X, y, w, b, lam)
     info.losses.append(loss)
     for it in range(hyper.max_iters):
         info.n_iter = it + 1
@@ -107,19 +117,20 @@ def train(X, y, hyper: LogisticHyper = LogisticHyper()
             break
         step = hyper.learning_rate
         for _ in range(60):
-            w_new = model.weights - step * grad_w
-            b_new = model.bias - step * grad_b
-            trial = LogisticModel(w_new, b_new, hyper.lam)
-            new_loss, new_gw, new_gb = loss_grad(trial, X, y)
+            w_new = w - step * grad_w
+            b_new = b - step * grad_b
+            if not (np.isfinite(w_new).all() and math.isfinite(b_new)):
+                raise ValueError("model parameters must be finite")
+            new_loss, new_gw, new_gb = _loss_grad(X, y, w_new, b_new, lam)
             if new_loss <= loss:
                 break
             step /= 2.0
         else:
             info.converged = True   # no descent direction left
             break
-        model, loss, grad_w, grad_b = trial, new_loss, new_gw, new_gb
+        w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
         info.losses.append(loss)
-    return model, info
+    return LogisticModel(w, b, lam), info
 
 
 def predict_proba(model: LogisticModel, X) -> np.ndarray:

@@ -24,6 +24,10 @@ class ModelFormatError(ValueError):
     """Model file does not match the expected schema."""
 
 
+class ModelReadError(Exception):
+    """Model file cannot be read: missing, a directory, not permitted."""
+
+
 def featurizer_to_dict(f: Featurizer) -> dict:
     vocab_in_order = sorted(f.tfidf.vocabulary, key=f.tfidf.vocabulary.get)
     return {
@@ -165,20 +169,26 @@ def _numbers(obj: dict, key: str, where: str = "",
     return values
 
 
+def _read_json(path) -> Any:
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return json.load(fp)
+    except OSError as exc:
+        raise ModelReadError(f"{path}: cannot read model file: "
+                             f"{exc.strerror or exc}") from exc
+    except ValueError as exc:   # bad JSON, bad UTF-8, a 5,000-digit number
+        raise ModelFormatError(f"{path}: bad JSON: {exc}") from exc
+
+
 def peek_schema(path) -> str:
-    with open(path, encoding="utf-8") as fp:
-        doc = json.load(fp)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "schema" not in doc:
         raise ModelFormatError(f"{path}: not a model file")
     return str(doc["schema"])
 
 
 def _load_schema(path, expected: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: bad JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("schema") != expected:
         raise ModelFormatError(
             f"{path}: expected schema {expected!r}, "

@@ -151,12 +151,15 @@ def trace(config: SamplerConfig, deltas: Sequence[int]) -> list[TraceRow]:
     """Replay a sequence of per-window hit counts through the sampler,
     exposing the intermediate prediction and window adjustment.
 
-    Hit counts larger than the current window are clamped to it.
+    Hit counts larger than the current window are clamped to it; a
+    negative count raises ``ValueError``.
     """
     sampler = AdaptiveSampler(config)
     rows = []
     for i, raw in enumerate(deltas):
+        if raw < 0:
+            raise ValueError(f"step {i}: negative hit count {raw}")
         w = sampler.current_window
-        delta = max(0, min(int(raw), w))
+        delta = min(int(raw), w)
         rows.append(TraceRow(i, w, delta, *sampler.step(delta)))
     return rows

@@ -4,6 +4,12 @@ A payload maps to a sparse vector of dimension |vocabulary| + 5: the
 tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
+
+Training and evaluation work on a whole corpus: ``tokenize`` counts each
+payload's tri-grams and linguistic features once, ``fit_featurizer``
+fits on any subset of its rows from those counts, and ``stack_dense``
+builds the design matrix of any subset.  Replay featurizes one packet
+at a time with ``Featurizer.featurize``; both give the same bits.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,24 +39,6 @@ class TfIdfModel:
     vocabulary: dict[str, int]    # trigram -> dense column index
     idf: tuple[float, ...]
     n_docs: int
-
-
-def fit_tfidf(corpus: Sequence[str]) -> TfIdfModel:
-    """Fit vocabulary (sorted tri-grams) and smoothed IDF weights.
-
-    idf[t] = ln((1 + n_docs) / (1 + df(t))) + 1
-    """
-    if len(corpus) == 0:
-        raise ValueError("cannot fit TF-IDF on an empty corpus")
-    df: Counter[str] = Counter()
-    for payload in corpus:
-        df.update(set(trigrams(payload)))
-    vocab = {t: i for i, t in enumerate(sorted(df))}
-    n = len(corpus)
-    idf = [0.0] * len(vocab)
-    for t, i in vocab.items():
-        idf[i] = math.log((1 + n) / (1 + df[t])) + 1.0
-    return TfIdfModel(vocab, tuple(idf), n)
 
 
 def transform_tfidf(model: TfIdfModel, payload: str) -> list[tuple[int, float]]:
@@ -126,14 +115,6 @@ class NormalizationParams:
             raise ValueError("l_min must be <= l_max component-wise")
 
 
-def fit_normalizer(rows: Sequence[LinguisticFeatures]) -> NormalizationParams:
-    if len(rows) == 0:
-        raise ValueError("cannot fit normalizer on empty input")
-    cols = list(zip(*(r.as_tuple() for r in rows)))
-    return NormalizationParams(tuple(float(min(c)) for c in cols),
-                               tuple(float(max(c)) for c in cols))
-
-
 def normalize(params: NormalizationParams,
               features: LinguisticFeatures) -> tuple[float, ...]:
     """Min-max rescale each count to [0,1]; constant features map to 0,
@@ -185,12 +166,6 @@ class Featurizer:
         return featurize(self.tfidf, self.norm, payload)
 
 
-def fit_featurizer(corpus: Sequence[str]) -> Featurizer:
-    tfidf = fit_tfidf(corpus)
-    norm = fit_normalizer([linguistic_features(p) for p in corpus])
-    return Featurizer(tfidf, norm)
-
-
 def featurize(tfidf_model: TfIdfModel, norm_params: NormalizationParams,
               payload: str) -> FeatureVector:
     """Tri-gram block at [0, |V|) followed by the 5 normalized linguistic
@@ -206,15 +181,119 @@ def featurize(tfidf_model: TfIdfModel, norm_params: NormalizationParams,
                          tuple(values))
 
 
-def stack_dense(vectors: Sequence[FeatureVector]) -> np.ndarray:
-    """Dense design matrix from featurized payloads."""
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    dim = vectors[0].dim
-    X = np.zeros((len(vectors), dim))
-    for i, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValueError("inconsistent feature dimensions")
-        if v.indices:
-            X[i, list(v.indices)] = v.values
+@dataclass(frozen=True, eq=False)
+class TokenizedCorpus:
+    """Each payload of a corpus counted once.
+
+    ``vocabulary`` holds every tri-gram of the corpus, sorted.  Payload
+    ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``ids`` (its
+    distinct tri-grams, as positions in ``vocabulary``) and ``counts``
+    (how often each occurs); ``totals[i]`` is its number of tri-grams and
+    ``linguistic[i]`` its five raw linguistic counts.
+    """
+
+    vocabulary: tuple[str, ...]
+    indptr: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    linguistic: np.ndarray
+
+    def __len__(self) -> int:
+        return self.totals.shape[0]
+
+    def select(self, rows=None) -> np.ndarray:
+        """``rows`` as an index array; None means every payload."""
+        if rows is None:
+            return np.arange(len(self))
+        return np.asarray(rows, dtype=np.intp)
+
+    def entries(self, rows: np.ndarray):
+        """(position in ``rows``, tri-gram id, count) of each entry of the
+        payloads at ``rows``."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(rows.shape[0]), lengths)
+        offsets = np.cumsum(lengths) - lengths
+        at = np.repeat(starts - offsets, lengths) + np.arange(owner.shape[0])
+        return owner, self.ids[at], self.counts[at]
+
+
+def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
+    grams = [Counter(trigrams(p)) for p in payloads]
+    vocabulary = tuple(sorted(set().union(*grams)))
+    index = {t: i for i, t in enumerate(vocabulary)}
+    indptr = np.zeros(len(grams) + 1, dtype=np.intp)
+    np.cumsum([len(g) for g in grams], out=indptr[1:])
+    nnz = int(indptr[-1])
+    ids = np.fromiter((index[t] for g in grams for t in g), dtype=np.intp,
+                      count=nnz)
+    counts = np.fromiter((c for g in grams for c in g.values()),
+                         dtype=np.int64, count=nnz)
+    totals = np.array([max(len(p) - 2, 0) for p in payloads], dtype=np.int64)
+    linguistic = np.array([linguistic_features(p).as_tuple()
+                           for p in payloads],
+                          dtype=np.int64).reshape(len(payloads), N_LINGUISTIC)
+    return TokenizedCorpus(vocabulary, indptr, ids, counts, totals,
+                           linguistic)
+
+
+def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
+    """Fit on the payloads at ``rows`` (all by default): the vocabulary is
+    their sorted tri-grams, with smoothed IDF weights
+
+        idf[t] = ln((1 + n_docs) / (1 + df(t))) + 1,
+
+    and the normalizer holds the min and max of each linguistic count.
+    """
+    rows = corpus.select(rows)
+    n = rows.shape[0]
+    if n == 0:
+        raise ValueError("cannot fit a featurizer on an empty corpus")
+    _, ids, _ = corpus.entries(rows)
+    df = np.bincount(ids, minlength=len(corpus.vocabulary))
+    present = np.flatnonzero(df)
+    vocabulary = {corpus.vocabulary[i]: j
+                  for j, i in enumerate(present.tolist())}
+    idf = tuple(math.log((1 + n) / (1 + d)) + 1.0
+                for d in df[present].tolist())
+    ling = corpus.linguistic[rows]
+    norm = NormalizationParams(tuple(map(float, ling.min(axis=0).tolist())),
+                               tuple(map(float, ling.max(axis=0).tolist())))
+    return Featurizer(TfIdfModel(vocabulary, idf, n), norm)
+
+
+def _normalize_rows(params: NormalizationParams,
+                    counts: np.ndarray) -> np.ndarray:
+    """``normalize`` over rows of linguistic counts, same expressions."""
+    lo = np.array(params.l_min, dtype=float)
+    hi = np.array(params.l_max, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (counts - lo) / (hi - lo)
+    scaled = np.where(scaled > 0.0, scaled, 0.0)    # max(0.0, x)
+    scaled = np.where(scaled < 1.0, scaled, 1.0)    # min(1.0, x)
+    return np.where(hi == lo, 0.0, scaled)
+
+
+def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
+                rows=None) -> np.ndarray:
+    """Dense design matrix of the payloads at ``rows`` (all by default),
+    in that order.  Row i is bit for bit ``featurizer.featurize(p)
+    .to_dense()`` of the i-th payload: tri-grams outside the featurizer's
+    vocabulary still count in the TF denominator."""
+    rows = corpus.select(rows)
+    if rows.shape[0] == 0:
+        raise ValueError("no rows to stack")
+    vocab = featurizer.tfidf.vocabulary
+    column = np.fromiter(map(vocab.get, corpus.vocabulary, repeat(-1)),
+                         dtype=np.intp, count=len(corpus.vocabulary))
+    owner, ids, counts = corpus.entries(rows)
+    cols = column[ids]
+    known = cols >= 0
+    owner, cols, counts = owner[known], cols[known], counts[known]
+    idf = np.array(featurizer.tfidf.idf, dtype=float)
+    X = np.zeros((rows.shape[0], featurizer.dim))
+    X[owner, cols] = (counts / corpus.totals[rows][owner]) * idf[cols]
+    X[:, len(vocab):] = _normalize_rows(featurizer.norm,
+                                        corpus.linguistic[rows])
     return X

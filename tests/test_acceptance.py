@@ -20,7 +20,8 @@ from flowdpi.engine import Engine, EngineConfig
 from flowdpi.flows import packet_to_json_line
 from flowdpi.sampler import SamplerConfig, trace
 from flowdpi.textfeat import (fit_featurizer, linguistic_features,
-                              stack_dense, transform_tfidf, trigrams)
+                              stack_dense, tokenize, transform_tfidf,
+                              trigrams)
 from synth import (benign_payload, labeled_corpus, malicious_payload,
                    separable_blobs)
 
@@ -208,8 +209,7 @@ def test_c5_tfidf_against_dense_oracle():
                       for _ in range(int(rng.integers(1, 51)))]
             docs = corpus + ["".join(rng.choice(alphabet, size=12))
                              for _ in range(5)]
-            from flowdpi.textfeat import fit_tfidf
-            model = fit_tfidf(corpus)
+            model = fit_featurizer(tokenize(corpus)).tfidf
             dense = _dense_tfidf(corpus, docs)
             for r, doc in enumerate(docs):
                 vec = np.zeros(len(model.vocabulary))
@@ -369,8 +369,9 @@ def test_c10_end_to_end_replay():
         start = time.monotonic()
         rng = np.random.default_rng(1000)
         payloads, y = labeled_corpus(rng, 200, 100)
-        featurizer = fit_featurizer(payloads)
-        X = stack_dense([featurizer.featurize(p) for p in payloads])
+        corpus = tokenize(payloads)
+        featurizer = fit_featurizer(corpus)
+        X = stack_dense(featurizer, corpus)
         model, _ = logistic.train(X, y, logistic.LogisticHyper(lam=0.01))
         lines, blacklist_lines = _build_stream(np.random.default_rng(1001))
         reports = []

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from flowdpi import persistence
+import reference
+from flowdpi import cli, logistic, metrics, persistence
 from flowdpi.cli import main
 from flowdpi.flows import packet_to_json_line
 from flowdpi.sampler import SamplerConfig, trace
@@ -64,6 +65,40 @@ class TestTrainPayload:
             assert main(["train-payload", str(corpus_file), str(out),
                          "--seed", "7"]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_model_and_cv_table_match_the_old_composition(
+            self, corpus_file, tmp_path, capsys):
+        """The corpus is tokenized once and each fold fits from the
+        counts; the old path refit on strings and featurized every
+        payload per fold. Both must print and save the same bytes."""
+        out = tmp_path / "model.json"
+        assert main(["train-payload", str(corpus_file), str(out),
+                     "--lambda", "0.01", "--max-iters", "300"]) == 0
+        printed = capsys.readouterr().out
+
+        payloads, y = cli._read_labeled_corpus(corpus_file)
+        hyper = logistic.LogisticHyper(lam=0.01, max_iters=300)
+
+        def fit(rows):
+            featurizer = reference.fit_featurizer([payloads[i] for i in rows])
+            X = reference.stack_dense([featurizer.featurize(payloads[i])
+                                       for i in rows])
+            return (featurizer, *reference.train(X, y[rows], hyper))
+
+        def fit_predict(train_idx, held_out):
+            featurizer, model, _ = fit(train_idx)
+            X_val = reference.stack_dense([featurizer.featurize(payloads[i])
+                                           for i in held_out])
+            return logistic.predict_proba(model, X_val) >= 0.5
+
+        cli._print_cv_table(metrics.cross_validate(y, 5, 42, fit_predict))
+        featurizer, model, info = fit(range(len(payloads)))
+        expected = tmp_path / "expected.json"
+        persistence.save_payload_model(expected, featurizer, model)
+        print(f"wrote {out} (dim={model.dim}, iters={info.n_iter}, "
+              f"final_loss={info.losses[-1]:.6f})")
+        assert printed == capsys.readouterr().out
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_empty_corpus_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -241,6 +276,24 @@ class TestEval:
         assert f"{bad}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("name", ["absent.json", "a-directory"])
+    def test_unreadable_model_file_is_data_error(self, name, corpus_file,
+                                                 tmp_path, capsys):
+        (tmp_path / "a-directory").mkdir()
+        model = tmp_path / name
+        assert main(["eval", str(model), str(corpus_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}: cannot read model file")
+
+    def test_model_file_of_bad_json_is_model_error(self, corpus_file,
+                                                   tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"\xff{")
+        assert main(["eval", str(model), str(corpus_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        assert f"{model}: bad JSON" in capsys.readouterr().err
+
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nonsense/9"}')
@@ -296,6 +349,23 @@ class TestReplay:
                      "--flows", str(flows_file),
                      "--report-out", str(tmp_path / "r.json"),
                      "--actions-out", str(tmp_path / "a.csv")]) == 3
+
+    @pytest.mark.parametrize("flag", ["--payload-model", "--tree-model"])
+    def test_missing_model_file_is_data_error(self, flag, payload_model_file,
+                                              tree_model_file, tmp_path,
+                                              capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        models = {"--payload-model": payload_model_file,
+                  "--tree-model": tree_model_file}
+        models[flag] = tmp_path / "absent.json"
+        assert main(["replay", "--packets", str(packets),
+                     "--blacklist", str(blacklist),
+                     "--payload-model", str(models["--payload-model"]),
+                     "--tree-model", str(models["--tree-model"]),
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--actions-out", str(tmp_path / "a.csv")]) == 2
+        assert (f"data error: {tmp_path / 'absent.json'}: cannot read "
+                f"model file") in capsys.readouterr().err
 
     def test_strict_mode_rejects_bad_packet_line(self, payload_model_file,
                                                  tmp_path):
@@ -360,6 +430,27 @@ class TestSampleTrace:
         assert main(["sample-trace", str(inp)]) == 2
 
 
+    @pytest.mark.parametrize("cell,reason", [
+        ("-3", "negative hit count '-3'"),
+        ("1_0", "hit count '1_0' is not a whole number in ASCII digits"),
+        ("\u0663", "hit count '\u0663' is not a whole number"),
+        ("+2", "hit count '+2' is not a whole number"),
+        ("2.0", "hit count '2.0' is not a whole number"),
+    ])
+    def test_bad_delta_is_rejected_with_line_and_reason(self, cell, reason,
+                                                        tmp_path, capsys):
+        inp = tmp_path / "deltas.csv"
+        inp.write_text(f"delta\n1\n{cell}\n", encoding="utf-8")
+        assert main(["sample-trace", str(inp)]) == 2
+        assert f"data error: {inp}:3: {reason}" in capsys.readouterr().err
+
+    def test_count_above_the_window_is_clamped(self, tmp_path, capsys):
+        inp = tmp_path / "deltas.csv"
+        inp.write_text("99\n")
+        assert main(["sample-trace", str(inp)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,5,5,,"
+
+
 class TestUsageAndConfig:
     def test_unknown_flag_is_usage_error(self, corpus_file, tmp_path):
         assert main(["train-payload", str(corpus_file),
@@ -409,3 +500,49 @@ class TestUsageAndConfig:
         inp.write_text("0\n")
         assert main(["sample-trace", str(inp),
                      "--w-min", "10", "--w-max", "5"]) == 3
+
+    @pytest.mark.parametrize("value,strict", [
+        ("true", True), ("On", True), ("1", True), ("yes", True),
+        ("false", False), ("OFF", False), ("0", False), ("no", False)])
+    def test_config_strict_words(self, value, strict, tmp_path):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"strict = {value}\n")
+        assert cli._load_config_file(cfg) == {"strict": strict}
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "enabled"])
+    def test_config_strict_other_word_is_usage_error(self, value, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"# header\nstrict = {value}\n")
+        inp = tmp_path / "deltas.csv"
+        inp.write_text("0\n")
+        assert main(["sample-trace", str(inp), "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: strict must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "seed = \u0664\u0662", "seed = 4_2", "w-min = \uff17",
+        "lam = 0_1", "threshold = \u0660.5", "lr = 1e\u0663"])
+    def test_config_number_outside_ascii_digits_is_usage_error(
+            self, line, tmp_path, capsys):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        inp = tmp_path / "deltas.csv"
+        inp.write_text("0\n")
+        assert main(["sample-trace", str(inp), "--config", str(cfg)]) == 1
+        key = line.split("=")[0].strip().replace("-", "_")
+        assert f"{cfg}:1: {key}: not an ASCII" in capsys.readouterr().err
+
+    def test_config_numbers_in_ascii_are_read(self, tmp_path):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text("seed = 42\nlam = 1e-2\nthreshold = -0.5\n")
+        assert cli._load_config_file(cfg) == {"seed": 42, "lam": 0.01,
+                                              "threshold": -0.5}
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "\u0664\u0662"), ("--max-iters", "1_000"),
+        ("--lambda", "0_1")])
+    def test_flag_outside_ascii_digits_is_usage_error(self, flag, value,
+                                                      tmp_path):
+        inp = tmp_path / "deltas.csv"
+        inp.write_text("0\n")
+        assert main(["sample-trace", str(inp), flag, value]) == 1

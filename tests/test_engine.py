@@ -10,7 +10,7 @@ from flowdpi.engine import (Engine, EngineConfig, EngineConfigError,
                             ReplayDataError, write_actions_csv)
 from flowdpi.flows import (VerdictKind, VerdictReason, packet_from_json_line,
                            packet_to_json_line)
-from flowdpi.textfeat import fit_featurizer, stack_dense
+from flowdpi.textfeat import fit_featurizer, stack_dense, tokenize
 from flowdpi.tree import DecisionTreeModel, TreeNode
 from synth import benign_payload, labeled_corpus, malicious_payload
 
@@ -21,8 +21,9 @@ SEED = 42
 def payload_classifier():
     rng = np.random.default_rng(SEED)
     payloads, y = labeled_corpus(rng, 150, 80)
-    featurizer = fit_featurizer(payloads)
-    X = stack_dense([featurizer.featurize(p) for p in payloads])
+    corpus = tokenize(payloads)
+    featurizer = fit_featurizer(corpus)
+    X = stack_dense(featurizer, corpus)
     model, _ = logistic.train(X, y, logistic.LogisticHyper(lam=0.01))
     return featurizer, model
 

@@ -5,6 +5,7 @@ import pytest
 
 from flowdpi.logistic import (LogisticHyper, LogisticModel, loss_grad,
                               predict, predict_proba, sigmoid, train)
+import reference
 from synth import separable_blobs
 
 
@@ -108,6 +109,50 @@ class TestTrain:
         m2, _ = train(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+
+class TestTrainMatchesReference:
+    """``train`` runs on plain arrays through the loss kernel; the loop
+    that built a ``LogisticModel`` per trial is kept in ``reference``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_as_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(4, 80)), int(rng.integers(1, 40))
+        X = rng.normal(size=(n, d)) * float(rng.uniform(0.1, 5.0))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        hyper = LogisticHyper(lam=float(rng.choice([0.0, 0.01, 1.0])),
+                              learning_rate=float(rng.choice([0.5, 4, 60])),
+                              max_iters=int(rng.integers(1, 400)),
+                              tol=float(rng.choice([1e-6, 1e-2])))
+        model, info = train(X, y, hyper)
+        ref_model, ref_info = reference.train(X, y, hyper)
+        assert model.weights.tobytes() == ref_model.weights.tobytes()
+        assert repr(model.bias) == repr(ref_model.bias)
+        assert list(map(repr, info.losses)) == \
+            list(map(repr, ref_info.losses))
+        assert (info.n_iter, info.converged) == \
+            (ref_info.n_iter, ref_info.converged)
+
+    def test_loss_grad_same_bits_as_reference(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(30, 7))
+        y = rng.integers(0, 2, size=30)
+        model = LogisticModel(rng.normal(size=7), float(rng.normal()), 0.3)
+        got, ref = loss_grad(model, X, y), reference.loss_grad(model, X, y)
+        assert repr(got[0]) == repr(ref[0])
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert repr(got[2]) == repr(ref[2])
+
+    def test_non_finite_trial_raises_like_reference(self):
+        X = np.array([[100.0], [-100.0]])
+        y = np.array([1, 0])
+        hyper = LogisticHyper(learning_rate=1e308)
+        for fit in (train, reference.train):
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="model parameters must be finite"):
+                fit(X, y, hyper)
 
 
 class TestPredict:

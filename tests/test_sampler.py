@@ -167,6 +167,11 @@ def test_trace_clamps_oversized_deltas():
         assert r.delta == r.w
 
 
+def test_trace_rejects_negative_deltas():
+    with pytest.raises(ValueError, match="step 1: negative hit count -3"):
+        trace(CFG, [1, -3, 2])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(w_min=10, w_max=5)

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdpi.textfeat import (LinguisticFeatures,
-                              NormalizationParams, featurize, fit_featurizer,
-                              fit_normalizer, fit_tfidf, linguistic_features,
-                              normalize, stack_dense, transform_tfidf,
+import reference
+from flowdpi.textfeat import (LinguisticFeatures, NormalizationParams,
+                              fit_featurizer, linguistic_features, normalize,
+                              stack_dense, tokenize, transform_tfidf,
                               trigrams)
 
 PAYLOAD_A = "/starnet/addons/slideshow_full.php?album_name=288150554"
 PAYLOAD_B = "/tests/numbertotexttest.php"
+
+
+def fit(corpus):
+    return fit_featurizer(tokenize(corpus))
+
+
+def fit_tfidf(corpus):
+    return fit(corpus).tfidf
 
 
 class TestTrigrams:
@@ -138,19 +146,18 @@ class TestLinguisticFeatures:
 
 class TestNormalization:
     def test_fit_two_rows(self):
-        rows = [LinguisticFeatures(0, 0, 0, 0, 0),
-                LinguisticFeatures(10, 4, 6, 3, 8)]
-        params = fit_normalizer(rows)
-        assert params.l_min == (0, 0, 0, 0, 0)
-        assert params.l_max == (10, 4, 6, 3, 8)
+        # PAYLOAD_A counts (9, 9, 19, 12, 12), PAYLOAD_B (0, 0, 15, 4, 6)
+        params = fit([PAYLOAD_A, PAYLOAD_B]).norm
+        assert params.l_min == (0, 0, 15, 4, 6)
+        assert params.l_max == (9, 9, 19, 12, 12)
 
     def test_single_row_degenerate(self):
-        params = fit_normalizer([LinguisticFeatures(1, 2, 3, 4, 5)])
+        params = fit(["/abc123"]).norm
         assert params.l_min == params.l_max
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalizer([])
+            fit([])
 
     def test_endpoints_and_midpoint(self):
         params = NormalizationParams((0,) * 5, (10,) * 5)
@@ -173,7 +180,7 @@ class TestNormalization:
 
 class TestFeaturize:
     def test_linguistic_block_occupies_tail(self):
-        f = fit_featurizer(["/abc123", "/def456789"])
+        f = fit(["/abc123", "/def456789"])
         vec = f.featurize("/abc123")
         n_vocab = len(f.tfidf.vocabulary)
         assert vec.dim == n_vocab + 5
@@ -184,23 +191,23 @@ class TestFeaturize:
         assert tail   # digits present, so at least one linguistic entry
 
     def test_empty_payload_has_no_trigram_entries(self):
-        f = fit_featurizer(["/abc123"])
+        f = fit(["/abc123"])
         vec = f.featurize("")
         assert all(i >= len(f.tfidf.vocabulary) for i in vec.indices)
 
     def test_deterministic(self):
-        f = fit_featurizer(["/abc", "/def"])
+        f = fit(["/abc", "/def"])
         assert f.featurize("/abc") == f.featurize("/abc")
 
     def test_order_independent_of_corpus_iteration(self):
-        a = fit_featurizer(["/abc", "/def"])
-        b = fit_featurizer(["/def", "/abc"])
+        a = fit(["/abc", "/def"])
+        b = fit(["/def", "/abc"])
         assert a.tfidf.vocabulary == b.tfidf.vocabulary
         assert a.featurize("/abc") == b.featurize("/abc")
 
     def test_dense_oracle_equality(self):
         corpus = ["/abc123", "/def456", "/abcdef9"]
-        f = fit_featurizer(corpus)
+        f = fit(corpus)
         for payload in corpus:
             vec = f.featurize(payload)
             dense = vec.to_dense()
@@ -211,15 +218,53 @@ class TestFeaturize:
             assert np.allclose(dense[n_vocab:], ling)
 
     def test_stack_dense(self):
-        f = fit_featurizer(["/abc", "/def"])
-        X = stack_dense([f.featurize("/abc"), f.featurize("/def")])
+        f = fit(["/abc", "/def"])
+        X = stack_dense(f, tokenize(["/abc", "/def"]))
         assert X.shape == (2, f.dim)
+
+
+_texts = (st.text(alphabet=st.sampled_from("ab1/ é٣"), max_size=12)
+          | st.text(max_size=12))
+
+
+@given(st.lists(_texts, min_size=1, max_size=15),
+       st.lists(_texts, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
+    """Fitting on any rows of a tokenized corpus gives the featurizer the
+    old string fit gives, and every ``stack_dense`` row is bit for bit the
+    payload's ``featurize(...).to_dense()``; ``unseen`` payloads, outside
+    the fitted rows, bring tri-grams the vocabulary lacks."""
+    payloads = corpus + unseen
+    tokenized = tokenize(payloads)
+    n = len(corpus)
+    fit_rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=n, unique=True))
+    f = fit_featurizer(tokenized, fit_rows)
+    assert f == reference.fit_featurizer([payloads[i] for i in fit_rows])
+    rows = data.draw(st.lists(st.integers(0, len(payloads) - 1),
+                              min_size=1, max_size=20))
+    X = stack_dense(f, tokenized, rows)
+    assert X.tobytes() == reference.stack_dense(
+        [f.featurize(payloads[i]) for i in rows]).tobytes()
+    for r, i in enumerate(rows):
+        assert X[r].tobytes() == f.featurize(payloads[i]).to_dense().tobytes()
+    if unseen:   # a corpus tokenized apart from the fit, as in eval
+        X = stack_dense(f, tokenize(unseen))
+        for row, payload in zip(X, unseen):
+            assert row.tobytes() == f.featurize(payload).to_dense().tobytes()
+
+
+def test_stack_dense_rejects_no_rows():
+    f = fit(["/abc"])
+    with pytest.raises(ValueError):
+        stack_dense(f, tokenize(["/abc"]), [])
 
 
 def test_featurizer_persistence_round_trip(tmp_path):
     from flowdpi.persistence import featurizer_from_dict, featurizer_to_dict
     import json
-    f = fit_featurizer([PAYLOAD_A, PAYLOAD_B, "/abc123"])
+    f = fit([PAYLOAD_A, PAYLOAD_B, "/abc123"])
     doc = json.dumps(featurizer_to_dict(f))
     g = featurizer_from_dict(json.loads(doc))
     assert g.tfidf.vocabulary == f.tfidf.vocabulary
