@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,66 +47,83 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def integer(text: str) -> int:
-    """``int`` of ASCII text: no ``_`` separators, no non-ASCII digits."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 
-def number(text: str) -> float:
-    """``float`` of ASCII text: no ``_`` separators, no non-ASCII digits."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
-    return float(text)
+def boolean(text: str) -> bool:
+    """A switch in a config file; on the command line it takes no value."""
+    if text.lower() not in _SWITCH_WORDS:
+        raise ValueError(f"must be one of {', '.join(_SWITCH_WORDS)}: "
+                         f"{text!r}")
+    return _SWITCH_WORDS[text.lower()]
 
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-# (flag dest, config-file key, type, default)
-_OPTION_SPEC = [
-    ("seed", integer, 42),
-    ("lam", number, 1.0),
-    ("lr", number, 0.5),
-    ("max_iters", integer, 5000),
-    ("k_folds", integer, 5),
-    ("m", integer, 100),
-    ("w_min", integer, 5),
-    ("w_max", integer, 15),
-    ("history", integer, 10),
-    ("threshold", number, 0.5),
-]
-_OPTION_TYPES = {name: typ for name, typ, _ in _OPTION_SPEC}
-_OPTION_DEFAULTS = {name: default for name, _, default in _OPTION_SPEC}
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, e.g. "[0, inf)"; NaN never
+    does."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return ((low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high))
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key = value config file; command-line flags "
-                             "override it")
-    parser.add_argument("--seed", type=integer, default=None)
-    parser.add_argument("--lambda", dest="lam", type=number, default=None,
-                        help="L2 strength for logistic regression")
-    parser.add_argument("--lr", type=number, default=None,
-                        help="gradient-descent learning rate")
-    parser.add_argument("--max-iters", type=integer, default=None)
-    parser.add_argument("--k-folds", type=integer, default=None)
-    parser.add_argument("--m", type=integer, default=None,
-                        help="packets per sampling epoch")
-    parser.add_argument("--w-min", type=integer, default=None)
-    parser.add_argument("--w-max", type=integer, default=None)
-    parser.add_argument("--history", type=integer, default=None,
-                        help="sampler history length")
-    parser.add_argument("--threshold", type=number, default=None,
-                        help="block threshold on classifier scores")
-    parser.add_argument("--strict", action="store_true", default=None,
-                        help="abort on malformed input records")
+class Option(NamedTuple):
+    """A tuning option: ``--flag`` on the commands that read it, and the
+    config-file key ``flag`` (with ``-`` or ``_``) for every command."""
+    flag: str
+    type: Callable[[str], object]   # int, float or boolean
+    range: Optional[str]   # None: checked by the library, if at all
+    default: object
+    help: str
+    commands: tuple[str, ...]
+
+    @property
+    def dest(self) -> str:
+        return self.flag.replace("-", "_")
+
+    def parse(self, text: str):
+        """The value of ``text``: ASCII, no ``_`` separators, in range."""
+        try:
+            if not text.isascii() or "_" in text:
+                raise ValueError(f"not an ASCII {self.type.__name__}: "
+                                 f"{text!r}")
+            value = self.type(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if self.range and not _within(value, self.range):
+            raise argparse.ArgumentTypeError(
+                f"must be in {self.range}: {text!r}")
+        return value
+
+
+_PAYLOAD, _REPLAY = ("train-payload",), ("replay",)
+_TRAIN = ("train-payload", "train-encrypted")
+_SAMPLER = ("replay", "sample-trace")
+OPTIONS = (
+    Option("seed", int, "[0, inf)", 42, "k-fold split seed", _TRAIN),
+    Option("lambda", float, "[0, inf)", 1.0, "L2 strength", _PAYLOAD),
+    Option("lr", float, "(0, inf)", 0.5, "learning rate", _PAYLOAD),
+    Option("max-iters", int, "[1, inf)", 5000, "descent steps", _PAYLOAD),
+    Option("k-folds", int, "[2, inf)", 5, "cross-validation folds", _TRAIN),
+    Option("m", int, None, 100, "packets per sampling epoch", _SAMPLER),
+    Option("w-min", int, None, 5, "first and smallest window", _SAMPLER),
+    Option("w-max", int, None, 15, "largest sampled window", _SAMPLER),
+    Option("history", int, "[3, inf)", 10, "sampler history", _SAMPLER),
+    Option("threshold", float, "(0, 1)", 0.5, "lowest malicious score",
+           ("train-payload", "eval", "replay")),
+    Option("strict", boolean, None, False, "abort on a bad record", _REPLAY),
+    Option("count-blocking", boolean, None, False,
+           "block on a window's hit count, not on the first hit", _REPLAY),
+    Option("block-hit-count", int, "[1, inf)", 1,
+           "hits in a window that block under --count-blocking", _REPLAY),
+)
 
 
 def _load_config_file(path: Path) -> dict:
+    """The ``key = value`` lines of a config file, each parsed and
+    range-checked by its option; a key may belong to any command."""
+    options = {opt.dest: opt for opt in OPTIONS}
     values = {}
-    known = set(_OPTION_TYPES) | {"strict"}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -119,31 +136,21 @@ def _load_config_file(path: Path) -> dict:
             raise UsageError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
         key = key.replace("-", "_")
-        if key not in known:
+        if key not in options:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-        if key == "strict":
-            word = value.lower()
-            if word not in _TRUE_WORDS + _FALSE_WORDS:
-                raise UsageError(
-                    f"{path}:{line_no}: strict must be one of "
-                    f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)}: {value!r}")
-            values[key] = word in _TRUE_WORDS
-        else:
-            try:
-                values[key] = _OPTION_TYPES[key](value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
+        try:
+            values[key] = options[key].parse(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
     return values
 
 
 def _resolve_options(args: argparse.Namespace) -> None:
     """Fill unset options from the config file, then from defaults."""
     from_file = _load_config_file(args.config) if args.config else {}
-    for name, default in _OPTION_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, from_file.get(name, default))
-    if args.strict is None:
-        args.strict = from_file.get("strict", False)
+    for opt in OPTIONS:
+        if args.command in opt.commands and getattr(args, opt.dest) is None:
+            setattr(args, opt.dest, from_file.get(opt.dest, opt.default))
 
 
 def _sampler_config(args) -> SamplerConfig:
@@ -205,7 +212,8 @@ def cmd_train_payload(args) -> int:
     payloads, y = _read_labeled_corpus(args.corpus)
     if np.unique(y).size < 2:
         raise DataError("corpus contains a single class")
-    hyper = logistic.LogisticHyper(lam=args.lam, learning_rate=args.lr,
+    hyper = logistic.LogisticHyper(lam=getattr(args, "lambda"),
+                                   learning_rate=args.lr,
                                    max_iters=args.max_iters)
 
     corpus = tokenize(payloads)
@@ -273,12 +281,11 @@ def cmd_eval(args) -> int:
         raise persistence.ModelFormatError(
             f"unknown model schema {schema!r}")
     report = metrics.evaluate(y, scores, threshold=args.threshold)
-    report_out = Path(args.report_out)
-    with open(report_out, "w", encoding="utf-8") as fp:
+    with open(args.report_out, "w", encoding="utf-8") as fp:
         json.dump(report.to_dict(), fp, indent=1)
         fp.write("\n")
-    roc_out = args.roc_out or report_out.with_suffix(".roc.csv")
-    pr_out = args.pr_out or report_out.with_suffix(".pr.csv")
+    roc_out = args.roc_out or args.report_out.with_suffix(".roc.csv")
+    pr_out = args.pr_out or args.report_out.with_suffix(".pr.csv")
     _write_curve_csv(roc_out, ("threshold", "fpr", "tpr"), report.roc_points)
     _write_curve_csv(pr_out, ("threshold", "recall", "precision"),
                      report.pr_points)
@@ -286,7 +293,7 @@ def cmd_eval(args) -> int:
     auc = "n/a" if report.auc is None else f"{report.auc:.6f}"
     print(f"accuracy={m.accuracy:.6f} precision={m.precision:.6f} "
           f"recall={m.recall:.6f} fpr={m.fpr:.6f} f1={m.f1:.6f} auc={auc}")
-    print(f"wrote {report_out}, {roc_out}, {pr_out}")
+    print(f"wrote {args.report_out}, {roc_out}, {pr_out}")
     return EXIT_OK
 
 
@@ -372,35 +379,38 @@ def build_parser() -> _Parser:
                      description="Adaptive deep packet inspection toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-payload",
-                       help="fit featurizer + logistic model on a labeled "
-                            "payload corpus (JSONL)")
+    def command(name, func, help_text):
+        # allow_abbrev=False: --m must not stand for --max-iters
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", type=Path, default=None,
+                       help="key = value file; flags override it")
+        for opt in (opt for opt in OPTIONS if name in opt.commands):
+            kind = ({"action": "store_true"} if opt.type is boolean
+                    else {"type": opt.parse})
+            p.add_argument(f"--{opt.flag}", default=None, **kind,
+                           help=f"{opt.help} (default {opt.default})")
+        return p
+
+    p = command("train-payload", cmd_train_payload,
+                "fit featurizer + logistic model on a labeled JSONL corpus")
     p.add_argument("corpus", type=Path)
     p.add_argument("model_out", type=Path)
-    _add_common_options(p)
-    p.set_defaults(func=cmd_train_payload)
 
-    p = sub.add_parser("train-encrypted",
-                       help="fit a decision tree on a labeled encrypted "
-                            "flow CSV")
+    p = command("train-encrypted", cmd_train_encrypted,
+                "fit a decision tree on a labeled encrypted flow CSV")
     p.add_argument("flows", type=Path)
     p.add_argument("model_out", type=Path)
-    _add_common_options(p)
-    p.set_defaults(func=cmd_train_encrypted)
 
-    p = sub.add_parser("eval",
-                       help="evaluate a saved model on a labeled dataset")
+    p = command("eval", cmd_eval, "evaluate a saved model on labeled data")
     p.add_argument("model", type=Path)
     p.add_argument("dataset", type=Path)
     p.add_argument("--report-out", type=Path, required=True)
     p.add_argument("--roc-out", type=Path, default=None)
     p.add_argument("--pr-out", type=Path, default=None)
-    _add_common_options(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("replay",
-                       help="replay a packet stream through the full "
-                            "two-stage pipeline")
+    p = command("replay", cmd_replay,
+                "replay a packet stream through the full two-stage pipeline")
     p.add_argument("--packets", type=Path, required=True)
     p.add_argument("--blacklist", type=Path, required=True)
     p.add_argument("--payload-model", type=Path, required=True)
@@ -409,29 +419,19 @@ def build_parser() -> _Parser:
     p.add_argument("--tree-model", type=Path, default=None)
     p.add_argument("--report-out", type=Path, required=True)
     p.add_argument("--actions-out", type=Path, required=True)
-    p.add_argument("--count-blocking", action="store_true",
-                   help="block on per-window hit count instead of first hit")
-    p.add_argument("--block-hit-count", type=int, default=1)
-    _add_common_options(p)
-    p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("sample-trace",
-                       help="replay per-window hit counts through the "
-                            "adaptive sampler")
-    p.add_argument("input", type=Path,
-                   help="CSV of per-window malicious counts "
-                        "(column 'delta' or headerless)")
+    p = command("sample-trace", cmd_sample_trace,
+                "replay per-window hit counts through the adaptive sampler")
+    p.add_argument("input", type=Path, help="CSV of per-window malicious "
+                   "counts (column 'delta' or headerless)")
     p.add_argument("--output", type=Path, default=None)
-    _add_common_options(p)
-    p.set_defaults(func=cmd_sample_trace)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _resolve_options(args)
         return args.func(args)
     except UsageError as exc:

@@ -37,7 +37,7 @@ class ReplayDataError(ValueError):
 @dataclass(frozen=True)
 class EngineConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    block_threshold: float = 0.5
+    block_threshold: float = 0.5   # a score equal to it is malicious
     block_on_first_hit: bool = True
     window_hit_block_count: int = 1   # used when block_on_first_hit is off
 

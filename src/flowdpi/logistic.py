@@ -136,8 +136,3 @@ def train(X, y, hyper: LogisticHyper = LogisticHyper()
 def predict_proba(model: LogisticModel, X) -> np.ndarray:
     X, _ = _check_xy(model, X, None)
     return sigmoid(X @ model.weights + model.bias)
-
-
-def predict(model: LogisticModel, X, threshold: float = 0.5) -> np.ndarray:
-    # tie at the threshold classifies as malicious (fail-safe)
-    return (predict_proba(model, X) >= threshold).astype(int)

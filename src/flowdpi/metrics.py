@@ -139,8 +139,9 @@ class EvalReport:
 def evaluate(y_true, scores, threshold: float = 0.5) -> EvalReport:
     """Full evaluation of probability scores against 0/1 labels.
 
-    Curves/AUC are included when both classes are present; otherwise the
-    threshold metrics alone are reported.
+    A score equal to ``threshold`` counts as malicious.  Curves/AUC are
+    included when both classes are present; otherwise the threshold
+    metrics alone are reported.
     """
     y_true = np.asarray(y_true, dtype=int)
     scores = np.asarray(scores, dtype=float)

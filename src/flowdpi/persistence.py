@@ -7,6 +7,7 @@ recovered bit-exactly on load.  Each file carries a schema marker.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -142,30 +143,32 @@ _KIND_NAMES = {int: "an integer", _NUMBER: "a number", list: "a list",
 
 def _typed(obj: dict, key: str, kinds, where: str = ""):
     """``obj[key]``, which must be of the JSON type ``kinds`` names: int
-    (an integer), ``_NUMBER``, list or dict (an object).  JSON true/false
-    are neither integer nor number."""
+    (an integer), ``_NUMBER`` (a finite number), list or dict (an object).
+    JSON true/false are neither integer nor number."""
     if key not in obj:
         raise ValueError(f"{where}missing '{key}'")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(
             f"{where}'{key}' must be {_KIND_NAMES[kinds]}: {value!r}")
+    if kinds is _NUMBER and not math.isfinite(value):
+        raise ValueError(f"{where}'{key}' must be finite: {value!r}")
     return value
 
 
 def _numbers(obj: dict, key: str, where: str = "",
              length: int | None = None) -> list:
-    """``obj[key]``, which must be a list of JSON numbers, of ``length``
-    entries when that is given."""
+    """``obj[key]``, which must be a list of finite JSON numbers, of
+    ``length`` entries when that is given."""
     values = _typed(obj, key, list, where)
     if length is not None and len(values) != length:
         raise ValueError(f"{where}'{key}' must hold {length} numbers, "
                          f"has {len(values)}")
-    if not {int, float}.issuperset(map(type, values)):
-        i = next(i for i, v in enumerate(values)
-                 if type(v) is not int and type(v) is not float)
-        raise ValueError(
-            f"{where}'{key}'[{i}] must be a number: {values[i]!r}")
+    for i, v in enumerate(values):
+        if type(v) is not int and type(v) is not float:
+            raise ValueError(f"{where}'{key}'[{i}] must be a number: {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"{where}'{key}'[{i}] must be finite: {v!r}")
     return values
 
 

@@ -249,12 +249,17 @@ class TestEval:
          "featurizer: 'l_max'[4] must be a number: None"),
         (("featurizer", "n_docs"), 120.0,
          "featurizer: 'n_docs' must be an integer: 120.0"),
+        (("featurizer", "idf", 0), float("nan"),
+         "featurizer: 'idf'[0] must be finite: nan"),
+        (("featurizer", "l_max", 0), float("inf"),
+         "featurizer: 'l_max'[0] must be finite: inf"),
     ])
     def test_payload_model_malformed_field_is_model_error(
             self, payload_model_file, corpus_file, tmp_path, capsys,
             path, value, reason):
         # a missing key used to end in a KeyError traceback with exit 1,
-        # and "idf": ["1.5", ...] used to be coerced to numbers
+        # "idf": ["1.5", ...] used to be coerced to numbers, and NaN and
+        # Infinity used to load
         doc = json.loads(payload_model_file.read_text())
         # a three-tri-gram vocabulary keeps the expected messages short
         featurizer = doc["featurizer"]
@@ -451,6 +456,35 @@ class TestSampleTrace:
         assert capsys.readouterr().out.splitlines()[1] == "0,5,5,,"
 
 
+# the options each command reads; every other tuning flag is a usage error
+READS = {
+    "train-payload": {"seed", "lambda", "lr", "max-iters", "k-folds",
+                      "threshold"},
+    "train-encrypted": {"seed", "k-folds"},
+    "eval": {"threshold"},
+    "replay": {"m", "w-min", "w-max", "history", "threshold", "strict",
+               "count-blocking", "block-hit-count"},
+    "sample-trace": {"m", "w-min", "w-max", "history"},
+}
+SWITCHES = {"strict", "count-blocking"}
+IN_RANGE = {"seed": "3", "lambda": "0.01", "lr": "0.5", "max-iters": "50",
+            "k-folds": "3", "m": "50", "w-min": "4", "w-max": "10",
+            "history": "5", "threshold": "0.5", "block-hit-count": "2"}
+
+
+def required_args(command, tmp_path):
+    """Arguments that satisfy the parser of ``command``."""
+    path = str(tmp_path / "unread")
+    return {
+        "train-payload": [path, path],
+        "train-encrypted": [path, path],
+        "eval": [path, path, "--report-out", path],
+        "replay": ["--packets", path, "--blacklist", path, "--payload-model",
+                   path, "--report-out", path, "--actions-out", path],
+        "sample-trace": [path],
+    }[command]
+
+
 class TestUsageAndConfig:
     def test_unknown_flag_is_usage_error(self, corpus_file, tmp_path):
         assert main(["train-payload", str(corpus_file),
@@ -517,11 +551,11 @@ class TestUsageAndConfig:
         inp = tmp_path / "deltas.csv"
         inp.write_text("0\n")
         assert main(["sample-trace", str(inp), "--config", str(cfg)]) == 1
-        assert f"{cfg}:2: strict must be one of" in capsys.readouterr().err
+        assert f"{cfg}:2: strict: must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "seed = \u0664\u0662", "seed = 4_2", "w-min = \uff17",
-        "lam = 0_1", "threshold = \u0660.5", "lr = 1e\u0663"])
+        "lambda = 0_1", "threshold = \u0660.5", "lr = 1e\u0663"])
     def test_config_number_outside_ascii_digits_is_usage_error(
             self, line, tmp_path, capsys):
         cfg = tmp_path / "conf.ini"
@@ -534,15 +568,94 @@ class TestUsageAndConfig:
 
     def test_config_numbers_in_ascii_are_read(self, tmp_path):
         cfg = tmp_path / "conf.ini"
-        cfg.write_text("seed = 42\nlam = 1e-2\nthreshold = -0.5\n")
-        assert cli._load_config_file(cfg) == {"seed": 42, "lam": 0.01,
-                                              "threshold": -0.5}
+        cfg.write_text("seed = 42\nlambda = 1e-2\nthreshold = 0.25\n")
+        assert cli._load_config_file(cfg) == {"seed": 42, "lambda": 0.01,
+                                              "threshold": 0.25}
 
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "\u0664\u0662"), ("--max-iters", "1_000"),
-        ("--lambda", "0_1")])
+        ("--lambda", "0_1"), ("--block-hit-count", "\u0663"),
+        ("--block-hit-count", "1_0")])
     def test_flag_outside_ascii_digits_is_usage_error(self, flag, value,
-                                                      tmp_path):
-        inp = tmp_path / "deltas.csv"
-        inp.write_text("0\n")
-        assert main(["sample-trace", str(inp), flag, value]) == 1
+                                                      tmp_path, capsys):
+        command = next(c for c, flags in READS.items() if flag[2:] in flags)
+        assert main([command, *required_args(command, tmp_path),
+                     flag, value]) == 1
+        assert f"argument {flag}: not an ASCII" in capsys.readouterr().err
+
+
+def test_option_table_gives_each_command_what_it_reads():
+    assert {command: {opt.flag for opt in cli.OPTIONS
+                      if command in opt.commands}
+            for command in READS} == READS
+    # with --config on every command: 26 settable (command, option) pairs
+    assert sum(len(flags) + 1 for flags in READS.values()) == 26
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("flag", sorted(set().union(*READS.values())))
+def test_command_takes_only_the_options_it_reads(command, flag, tmp_path,
+                                                 capsys):
+    argv = [command, *required_args(command, tmp_path), f"--{flag}",
+            *([] if flag in SWITCHES else [IN_RANGE[flag]])]
+    if flag in READS[command]:
+        args = cli.build_parser().parse_args(argv)
+        expected = True if flag in SWITCHES else float(IN_RANGE[flag])
+        assert getattr(args, flag.replace("-", "_")) == expected
+    else:
+        assert main(argv) == 1
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag,value", [
+    ("lr", "0"), ("max-iters", "0"), ("k-folds", "1"), ("threshold", "0"),
+    ("threshold", "1"), ("threshold", "nan"), ("lambda", "inf"),
+    ("history", "2"), ("block-hit-count", "0"), ("seed", "-1")])
+def test_out_of_range_value_is_usage_error(flag, value, source, tmp_path,
+                                           capsys):
+    command = next(c for c, flags in READS.items() if flag in flags)
+    argv = [command, *required_args(command, tmp_path)]
+    if source == "flag":
+        where = f"argument --{flag}"
+        argv += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "conf.ini"
+        cfg.write_text(f"{flag} = {value}\n")
+        where = f"{cfg}:1: {flag.replace('-', '_')}"
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert f"{where}: must be in " in capsys.readouterr().err
+
+
+def test_one_config_file_serves_every_command(
+        corpus_file, flows_file, payload_model_file, tree_model_file,
+        tmp_path, capsys):
+    """Each command reads its own keys from a file holding every key."""
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("".join(f"{flag} = {IN_RANGE.get(flag, 'yes')}\n"
+                           for flag in sorted(set().union(*READS.values()))))
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text("".join(
+        packet_to_json_line("10.1.0.1", 40000, "10.9.9.9", 80, "TCP",
+                            float(i), "/index.html") + "\n"
+        for i in range(5)))
+    blacklist = tmp_path / "blacklist.txt"
+    blacklist.write_text("")
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text("0\n")
+    model_out = tmp_path / "model.json"
+    inputs = {"train-payload": [corpus_file, model_out],
+              "train-encrypted": [flows_file, tmp_path / "tree.json"],
+              "eval": [tree_model_file, flows_file,
+                       "--report-out", tmp_path / "report.json"],
+              "replay": ["--packets", packets, "--blacklist", blacklist,
+                         "--payload-model", payload_model_file,
+                         "--report-out", tmp_path / "replay.json",
+                         "--actions-out", tmp_path / "actions.csv"],
+              "sample-trace": [deltas]}
+    for command, args in inputs.items():
+        assert main([command, *map(str, args), "--config", str(cfg)]) == 0
+    assert json.loads(model_out.read_text())["lambda"] == 0.01
+    # sample-trace ran last: its first window is w-min from the file
+    assert capsys.readouterr().out.splitlines()[-1] == "0,4,0,,"

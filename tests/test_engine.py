@@ -69,6 +69,20 @@ def test_blacklisted_source_blocked_on_first_packet(payload_classifier):
     assert engine.report.packets_dropped == 1
 
 
+def test_score_equal_to_block_threshold_blocks(payload_classifier):
+    featurizer, model = payload_classifier
+    payload = "/index.html"
+    score = float(logistic.predict_proba(
+        model, featurizer.featurize(payload).to_dense())[0])
+    for threshold, blocked in ((score, True),
+                               (float(np.nextafter(score, 1.0)), False)):
+        engine = make_engine(payload_classifier, block_threshold=threshold)
+        verdict = engine.process_packet(
+            packet_from_json_line(packet_line("10.0.0.9", payload)))
+        assert (verdict is not None
+                and verdict.kind is VerdictKind.BLOCK) == blocked
+
+
 def test_blacklist_checked_only_on_flow_creation(payload_classifier):
     engine = make_engine(payload_classifier, [])
     rng = np.random.default_rng(0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowdpi.logistic import (LogisticHyper, LogisticModel, loss_grad,
-                              predict, predict_proba, sigmoid, train)
+                              predict_proba, sigmoid, train)
+from flowdpi.metrics import evaluate
 import reference
 from synth import separable_blobs
 
@@ -75,7 +76,7 @@ class TestTrain:
     def test_separable_blobs_high_accuracy(self):
         X, y = separable_blobs(np.random.default_rng(7), n=200)
         model, info = train(X, y, LogisticHyper(lam=0.01))
-        acc = float(np.mean(predict(model, X) == y))
+        acc = float(np.mean((predict_proba(model, X) >= 0.5) == y))
         assert acc >= 0.99
         assert info.n_iter <= 5000
 
@@ -158,8 +159,9 @@ class TestTrainMatchesReference:
 class TestPredict:
     def test_zero_model_tie_is_malicious(self):
         model = LogisticModel(np.zeros(2), 0.0, 1.0)
-        assert predict_proba(model, [0.0, 0.0])[0] == 0.5
-        assert predict(model, [0.0, 0.0])[0] == 1
+        scores = predict_proba(model, [0.0, 0.0])
+        assert scores[0] == 0.5
+        assert evaluate([1], scores).cm.tp == 1   # the tie is malicious
 
     def test_bias_identity(self):
         model = LogisticModel(np.zeros(2), math.log(3), 1.0)

@@ -174,6 +174,10 @@ class TestEvaluate:
         doc = report.to_dict()
         assert doc["confusion"]["tp"] == 2
 
+    def test_score_equal_to_threshold_is_malicious(self):
+        cm = evaluate([1, 0, 0], [0.7, 0.7, 0.2], threshold=0.7).cm
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 1, 1, 0)
+
     def test_single_class_skips_curves(self):
         report = evaluate([1, 1], [0.9, 0.8])
         assert report.auc is None and report.roc_points == []
