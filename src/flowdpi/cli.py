@@ -298,6 +298,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.tree_model and not args.flows:
+        raise UsageError("--tree-model classifies the flows of --flows; "
+                         "give both or neither")
     try:
         blacklist_lines = args.blacklist.read_text(
             encoding="utf-8").splitlines()
@@ -416,7 +419,8 @@ def build_parser() -> _Parser:
     p.add_argument("--payload-model", type=Path, required=True)
     p.add_argument("--flows", type=Path, default=None,
                    help="encrypted flow CSV (needs --tree-model)")
-    p.add_argument("--tree-model", type=Path, default=None)
+    p.add_argument("--tree-model", type=Path, default=None,
+                   help="decision tree for --flows")
     p.add_argument("--report-out", type=Path, required=True)
     p.add_argument("--actions-out", type=Path, required=True)
 

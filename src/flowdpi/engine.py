@@ -21,7 +21,7 @@ from .encflow import EncryptedFlowRecord, FlowRowError, encode, read_flow_csv
 from .flows import (Direction, FlowKey, FlowParseError, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, packet_from_json_line)
 from .sampler import AdaptiveSampler, SamplerConfig
-from .textfeat import Featurizer
+from .textfeat import FeatureBatch, Featurizer
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +134,11 @@ class Engine:
         self._flows[packet.flow] = state
         return state
 
+    def score(self, payload: str) -> float:
+        """The payload classifier's score of one payload."""
+        batch = FeatureBatch.of(self.featurizer.featurize(payload))
+        return float(logistic.predict_proba(self.payload_model, batch)[0])
+
     def process_packet(self, packet: PacketRecord) -> Optional[Verdict]:
         state = self._flows.get(packet.flow)
         new_flow = state is None
@@ -158,9 +163,7 @@ class Engine:
         verdict = None
         if position < state.sampler.current_window and not packet.encrypted:
             self.report.packets_sampled += 1
-            vec = self.featurizer.featurize(packet.payload_text())
-            score = float(logistic.predict_proba(self.payload_model,
-                                                 vec.to_dense())[0])
+            score = self.score(packet.payload_text())
             if score >= self.config.block_threshold:
                 state.window_hits += 1
                 state.max_window_score = max(state.max_window_score, score)

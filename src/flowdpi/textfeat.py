@@ -8,7 +8,7 @@ letters, vowels).
 Training and evaluation work on a whole corpus: ``tokenize`` counts each
 payload's tri-grams and linguistic features once, ``fit_featurizer``
 fits on any subset of its rows from those counts, and ``stack_dense``
-builds the design matrix of any subset.  Replay featurizes one packet
+builds the ``FeatureBatch`` of any subset.  Replay featurizes one packet
 at a time with ``Featurizer.featurize``; both give the same bits.
 """
 
@@ -144,11 +144,31 @@ class FeatureVector:
                                  "and < dim")
             prev = i
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        if self.indices:
-            dense[list(self.indices)] = self.values
-        return dense
+
+@dataclass(frozen=True, eq=False)
+class FeatureBatch:
+    """Feature vectors of ``shape[0]`` payloads in compressed sparse rows.
+
+    Row ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
+    (its columns, ascending, so the linguistic columns come last) and of
+    ``data`` (their values); zero entries are left out.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+    @classmethod
+    def of(cls, vec: FeatureVector) -> FeatureBatch:
+        """``vec`` as a one-row batch."""
+        return cls(np.array((0, len(vec.indices)), dtype=np.intp),
+                   np.array(vec.indices, dtype=np.intp),
+                   np.array(vec.values, dtype=float), (1, vec.dim))
 
 
 @dataclass(frozen=True)
@@ -187,9 +207,9 @@ class TokenizedCorpus:
 
     ``vocabulary`` holds every tri-gram of the corpus, sorted.  Payload
     ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``ids`` (its
-    distinct tri-grams, as positions in ``vocabulary``) and ``counts``
-    (how often each occurs); ``totals[i]`` is its number of tri-grams and
-    ``linguistic[i]`` its five raw linguistic counts.
+    distinct tri-grams, as ascending positions in ``vocabulary``) and
+    ``counts`` (how often each occurs); ``totals[i]`` is its number of
+    tri-grams and ``linguistic[i]`` its five raw linguistic counts.
     """
 
     vocabulary: tuple[str, ...]
@@ -230,12 +250,14 @@ def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
                       count=nnz)
     counts = np.fromiter((c for g in grams for c in g.values()),
                          dtype=np.int64, count=nnz)
+    order = np.lexsort((ids, np.repeat(np.arange(len(grams)),
+                                       np.diff(indptr))))
     totals = np.array([max(len(p) - 2, 0) for p in payloads], dtype=np.int64)
     linguistic = np.array([linguistic_features(p).as_tuple()
                            for p in payloads],
                           dtype=np.int64).reshape(len(payloads), N_LINGUISTIC)
-    return TokenizedCorpus(vocabulary, indptr, ids, counts, totals,
-                           linguistic)
+    return TokenizedCorpus(vocabulary, indptr, ids[order], counts[order],
+                           totals, linguistic)
 
 
 def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
@@ -276,13 +298,14 @@ def _normalize_rows(params: NormalizationParams,
 
 
 def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
-                rows=None) -> np.ndarray:
-    """Dense design matrix of the payloads at ``rows`` (all by default),
-    in that order.  Row i is bit for bit ``featurizer.featurize(p)
-    .to_dense()`` of the i-th payload: tri-grams outside the featurizer's
-    vocabulary still count in the TF denominator."""
+                rows=None) -> FeatureBatch:
+    """The payloads at ``rows`` (all by default), in that order, as one
+    batch.  Row i holds bit for bit the entries of ``featurizer
+    .featurize(p)`` of the i-th payload: tri-grams outside the
+    featurizer's vocabulary still count in the TF denominator."""
     rows = corpus.select(rows)
-    if rows.shape[0] == 0:
+    n = rows.shape[0]
+    if n == 0:
         raise ValueError("no rows to stack")
     vocab = featurizer.tfidf.vocabulary
     column = np.fromiter(map(vocab.get, corpus.vocabulary, repeat(-1)),
@@ -292,8 +315,17 @@ def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
     known = cols >= 0
     owner, cols, counts = owner[known], cols[known], counts[known]
     idf = np.array(featurizer.tfidf.idf, dtype=float)
-    X = np.zeros((rows.shape[0], featurizer.dim))
-    X[owner, cols] = (counts / corpus.totals[rows][owner]) * idf[cols]
-    X[:, len(vocab):] = _normalize_rows(featurizer.norm,
-                                        corpus.linguistic[rows])
-    return X
+    tfidf = (counts / corpus.totals[rows][owner]) * idf[cols]
+    ling = _normalize_rows(featurizer.norm, corpus.linguistic[rows])
+    ling_owner, j = np.nonzero(ling)
+    owner = np.concatenate((owner, ling_owner))
+    indices = np.concatenate((cols, len(vocab) + j))
+    # sort each row by column: rows come in order, and so do the columns
+    # within a row unless a model file numbered its vocabulary out of
+    # order, so this is mostly one merge of two sorted runs
+    order = np.argsort(owner * featurizer.dim + indices, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return FeatureBatch(indptr, indices[order],
+                        np.concatenate((tfidf, ling[ling_owner, j]))[order],
+                        (n, featurizer.dim))

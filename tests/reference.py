@@ -1,12 +1,19 @@
-"""The payload-training composition that the batch path replaced.
+"""Oracles for the payload-training path.
 
-``fit_featurizer`` fits on a list of payload strings, ``stack_dense``
-stacks per-payload ``FeatureVector``s, and ``train`` is the
-gradient-descent loop that built a ``LogisticModel`` and checked its
-inputs on every line-search trial.  Tests require
-``textfeat.fit_featurizer``, ``textfeat.stack_dense``,
+The composition that the batch path replaced: ``fit_featurizer`` fits on
+a list of payload strings, ``stack_dense`` stacks per-payload
+``FeatureVector``s into a dense matrix, ``loss_grad`` is the dense
+(BLAS) loss and gradient, and ``train`` is the gradient-descent loop
+that built a ``LogisticModel`` and checked its inputs on every
+line-search trial.
+
+The summation order that defines a score and a gradient, in plain
+Python: ``segment_sum`` is ``S``, ``margins`` and ``gradient`` apply it
+to the rows and columns of a ``FeatureBatch``, and ``sparse_loss_grad``
+is the loss and gradient built from them.  Tests require
 ``logistic.loss_grad`` and ``logistic.train`` to give the same bits as
-these.
+``sparse_loss_grad`` and ``train(..., sparse_loss_grad)``, and to stay
+within 1e-12 of the dense path.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from collections import Counter
 import numpy as np
 
 from flowdpi import logistic
-from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
-                              linguistic_features, trigrams)
+from flowdpi.textfeat import (FeatureBatch, Featurizer, NormalizationParams,
+                              TfIdfModel, linguistic_features, trigrams)
 
 
 def fit_featurizer(corpus: list[str]) -> Featurizer:
@@ -51,6 +58,114 @@ def stack_dense(vectors) -> np.ndarray:
     return X
 
 
+def to_dense(vec) -> np.ndarray:
+    """A ``FeatureVector`` as a dense row."""
+    dense = np.zeros(vec.dim)
+    if vec.indices:
+        dense[list(vec.indices)] = vec.values
+    return dense
+
+
+def dense(batch: FeatureBatch) -> np.ndarray:
+    """A ``FeatureBatch`` as a dense matrix."""
+    X = np.zeros(batch.shape)
+    for i in range(batch.shape[0]):
+        for k in range(batch.indptr[i], batch.indptr[i + 1]):
+            X[i, batch.indices[k]] = batch.data[k]
+    return X
+
+
+def batch(X) -> FeatureBatch:
+    """The non-zero entries of a dense matrix (one row for a vector), row
+    by row with columns ascending."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rows, cols = np.nonzero(X)
+    indptr = np.searchsorted(rows, np.arange(X.shape[0] + 1))
+    return FeatureBatch(indptr, cols, X[rows, cols], X.shape)
+
+
+def sigmoid(z):
+    """The masked form of the logistic function the library used."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if out.ndim else float(out)
+
+
+def pairwise_sum(x: list[float]) -> float:
+    """numpy's pairwise sum of ``x``, term by term."""
+    n = len(x)
+    if n < 8:
+        total = -0.0   # the additive identity: -0.0 + t == t
+        for t in x:
+            total += t
+        return total
+    if n <= 128:
+        r = list(x[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += x[i + j]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
+                                                   + (r[6] + r[7]))
+        for t in x[i:]:
+            total += t
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(x[:half]) + pairwise_sum(x[half:])
+
+
+def segment_sum(x: list[float]) -> float:
+    """``S(x) = x[0] + P(x[1:])`` of a non-empty segment."""
+    return x[0] + pairwise_sum(x[1:])
+
+
+def margins(batch: FeatureBatch, w, b: float) -> np.ndarray:
+    """``S(data * w[indices]) + b`` of each row, in its stored order; an
+    empty row's margin is ``b``."""
+    indptr, indices = batch.indptr.tolist(), batch.indices.tolist()
+    data, w = batch.data.tolist(), list(map(float, w))
+    out = []
+    for lo, hi in zip(indptr, indptr[1:]):
+        terms = [data[k] * w[indices[k]] for k in range(lo, hi)]
+        out.append(segment_sum(terms) + b if terms else b)
+    return np.array(out, dtype=float)
+
+
+def gradient(batch: FeatureBatch, residual, w, lam: float) -> np.ndarray:
+    """Per column, ``S(data * residual[row])`` over its entries in row
+    order, then ``/ n + lam / n * w``; an empty column's is ``lam / n *
+    w``."""
+    indptr, indices = batch.indptr.tolist(), batch.indices.tolist()
+    data, residual = batch.data.tolist(), list(map(float, residual))
+    n = batch.shape[0]
+    terms = [[] for _ in range(batch.shape[1])]
+    for i in range(n):
+        for k in range(indptr[i], indptr[i + 1]):
+            terms[indices[k]].append(data[k] * residual[i])
+    return np.array([segment_sum(t) / n + lam / n * float(w[j]) if t
+                     else lam / n * float(w[j])
+                     for j, t in enumerate(terms)], dtype=float)
+
+
+def sparse_loss_grad(model: logistic.LogisticModel, batch: FeatureBatch, y):
+    """``logistic.loss_grad`` from ``margins`` and ``gradient``."""
+    y = np.asarray(y, dtype=float)
+    n = batch.shape[0]
+    w = model.weights
+    z = margins(batch, w, model.bias)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    loss += model.lam / (2 * n) * float(np.sum(w * w))
+    residual = sigmoid(z) - y
+    return (loss, gradient(batch, residual, w, model.lam),
+            float(np.mean(residual)))
+
+
 def loss_grad(model: logistic.LogisticModel, X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -64,8 +179,10 @@ def loss_grad(model: logistic.LogisticModel, X, y):
     return loss, grad_w, grad_b
 
 
-def train(X, y, hyper: logistic.LogisticHyper = logistic.LogisticHyper()):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def train(X, y, hyper: logistic.LogisticHyper = logistic.LogisticHyper(),
+          loss_grad=loss_grad):
+    """The descent loop on a dense ``X`` and the dense ``loss_grad``, or on
+    a ``FeatureBatch`` and ``sparse_loss_grad``."""
     y = np.asarray(y, dtype=float)
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):

@@ -22,6 +22,7 @@ from flowdpi.sampler import SamplerConfig, trace
 from flowdpi.textfeat import (fit_featurizer, linguistic_features,
                               stack_dense, tokenize, transform_tfidf,
                               trigrams)
+import reference
 from synth import (benign_payload, labeled_corpus, malicious_payload,
                    separable_blobs)
 
@@ -228,7 +229,7 @@ def test_c6_gradient_finite_differences():
         for _ in range(100):
             d = int(rng.integers(1, 21))
             n = int(rng.integers(2, 30))
-            X = rng.normal(size=(n, d))
+            X = reference.batch(rng.normal(size=(n, d)))
             y = rng.integers(0, 2, size=n)
             lam = float(rng.uniform(0, 2))
             model = logistic.LogisticModel(rng.normal(size=d),
@@ -260,6 +261,7 @@ def test_c6_gradient_finite_differences():
 def test_c7_separable_sanity():
     with criterion("C7", "LR >= 99% on blobs; tree 100% on distinct rows"):
         X, y = separable_blobs(np.random.default_rng(700), n=200)
+        X = reference.batch(X)
         model, info = logistic.train(X, y, logistic.LogisticHyper(lam=0.01))
         assert info.n_iter <= 5000
         scores = logistic.predict_proba(model, X)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowdpi
 import reference
 from flowdpi import cli, logistic, metrics, persistence
 from flowdpi.cli import main
@@ -70,7 +75,8 @@ class TestTrainPayload:
             self, corpus_file, tmp_path, capsys):
         """The corpus is tokenized once and each fold fits from the
         counts; the old path refit on strings and featurized every
-        payload per fold. Both must print and save the same bytes."""
+        payload per fold. Summed in the oracle's order, both must print
+        and save the same bytes; the dense path stays within 1e-12."""
         out = tmp_path / "model.json"
         assert main(["train-payload", str(corpus_file), str(out),
                      "--lambda", "0.01", "--max-iters", "300"]) == 0
@@ -79,26 +85,40 @@ class TestTrainPayload:
         payloads, y = cli._read_labeled_corpus(corpus_file)
         hyper = logistic.LogisticHyper(lam=0.01, max_iters=300)
 
-        def fit(rows):
+        def stack(featurizer, rows):
+            return reference.stack_dense([featurizer.featurize(payloads[i])
+                                          for i in rows])
+
+        def fit(rows, dense):
             featurizer = reference.fit_featurizer([payloads[i] for i in rows])
-            X = reference.stack_dense([featurizer.featurize(payloads[i])
-                                       for i in rows])
-            return (featurizer, *reference.train(X, y[rows], hyper))
+            X = stack(featurizer, rows)
+            if dense:
+                return (featurizer, *reference.train(X, y[rows], hyper))
+            return (featurizer, *reference.train(
+                reference.batch(X), y[rows], hyper,
+                reference.sparse_loss_grad))
 
-        def fit_predict(train_idx, held_out):
-            featurizer, model, _ = fit(train_idx)
-            X_val = reference.stack_dense([featurizer.featurize(payloads[i])
-                                           for i in held_out])
-            return logistic.predict_proba(model, X_val) >= 0.5
+        for dense in (False, True):
+            def fit_predict(train_idx, held_out):
+                featurizer, model, _ = fit(train_idx, dense)
+                X_val = stack(featurizer, held_out)
+                z = (X_val @ model.weights + model.bias if dense else
+                     reference.margins(reference.batch(X_val),
+                                       model.weights, model.bias))
+                return reference.sigmoid(z) >= 0.5
 
-        cli._print_cv_table(metrics.cross_validate(y, 5, 42, fit_predict))
-        featurizer, model, info = fit(range(len(payloads)))
-        expected = tmp_path / "expected.json"
-        persistence.save_payload_model(expected, featurizer, model)
-        print(f"wrote {out} (dim={model.dim}, iters={info.n_iter}, "
-              f"final_loss={info.losses[-1]:.6f})")
-        assert printed == capsys.readouterr().out
-        assert out.read_bytes() == expected.read_bytes()
+            cli._print_cv_table(metrics.cross_validate(y, 5, 42, fit_predict))
+            featurizer, model, info = fit(range(len(payloads)), dense)
+            print(f"wrote {out} (dim={model.dim}, iters={info.n_iter}, "
+                  f"final_loss={info.losses[-1]:.6f})")
+            assert printed == capsys.readouterr().out
+            if not dense:
+                expected = tmp_path / "expected.json"
+                persistence.save_payload_model(expected, featurizer, model)
+                assert out.read_bytes() == expected.read_bytes()
+        _, saved = persistence.load_payload_model(out)
+        assert np.max(np.abs(saved.weights - model.weights)) <= 1e-12
+        assert abs(saved.bias - model.bias) <= 1e-12
 
     def test_empty_corpus_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -117,6 +137,26 @@ class TestTrainPayload:
         path.write_text('{"payload": "/a"}\n')
         assert main(["train-payload", str(path),
                      str(tmp_path / "m.json")]) == 2
+
+    def test_model_bytes_do_not_depend_on_the_blas_kernel(self, corpus_file,
+                                                          tmp_path):
+        """OpenBLAS picks its kernels by CPU, and ``OPENBLAS_CORETYPE``
+        forces a choice.  Training makes no BLAS call, so every choice
+        saves the same model bytes."""
+        src = str(Path(flowdpi.__file__).resolve().parents[1])
+        models = set()
+        for core in ("Prescott", "Sandybridge", "Haswell", "SkylakeX"):
+            out = tmp_path / f"{core}.json"
+            env = {**os.environ, "OPENBLAS_CORETYPE": core,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            subprocess.run([sys.executable, "-m", "flowdpi.cli",
+                            "train-payload", str(corpus_file), str(out),
+                            "--lambda", "0.01", "--max-iters", "300"],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+            models.add(out.read_bytes())
+        assert len(models) == 1
 
 
 class TestTrainEncrypted:
@@ -355,10 +395,22 @@ class TestReplay:
                      "--report-out", str(tmp_path / "r.json"),
                      "--actions-out", str(tmp_path / "a.csv")]) == 3
 
+    def test_tree_model_without_flows_is_usage_error(
+            self, payload_model_file, tree_model_file, tmp_path, capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        assert main(["replay", "--packets", str(packets),
+                     "--blacklist", str(blacklist),
+                     "--payload-model", str(payload_model_file),
+                     "--tree-model", str(tree_model_file),
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--actions-out", str(tmp_path / "a.csv")]) == 1
+        assert "--flows" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("flag", ["--payload-model", "--tree-model"])
     def test_missing_model_file_is_data_error(self, flag, payload_model_file,
-                                              tree_model_file, tmp_path,
-                                              capsys):
+                                              tree_model_file, flows_file,
+                                              tmp_path, capsys):
         packets, blacklist = self._write_streams(tmp_path)
         models = {"--payload-model": payload_model_file,
                   "--tree-model": tree_model_file}
@@ -366,6 +418,7 @@ class TestReplay:
         assert main(["replay", "--packets", str(packets),
                      "--blacklist", str(blacklist),
                      "--payload-model", str(models["--payload-model"]),
+                     "--flows", str(flows_file),
                      "--tree-model", str(models["--tree-model"]),
                      "--report-out", str(tmp_path / "r.json"),
                      "--actions-out", str(tmp_path / "a.csv")]) == 2

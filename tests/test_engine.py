@@ -70,10 +70,8 @@ def test_blacklisted_source_blocked_on_first_packet(payload_classifier):
 
 
 def test_score_equal_to_block_threshold_blocks(payload_classifier):
-    featurizer, model = payload_classifier
     payload = "/index.html"
-    score = float(logistic.predict_proba(
-        model, featurizer.featurize(payload).to_dense())[0])
+    score = make_engine(payload_classifier).score(payload)
     for threshold, blocked in ((score, True),
                                (float(np.nextafter(score, 1.0)), False)):
         engine = make_engine(payload_classifier, block_threshold=threshold)
@@ -170,11 +168,24 @@ def test_window_hits_match_offline_recount(payload_classifier):
     for line in stream("10.0.1.3", payloads):
         engine.process_packet(packet_from_json_line(line))
     state = next(iter(engine._flows.values()))
-    recount = sum(
-        logistic.predict_proba(model,
-                               featurizer.featurize(p).to_dense())[0] >= 0.5
-        for p in payloads[:5])
+    recount = sum(logistic.predict_proba(
+        model, stack_dense(featurizer, tokenize(payloads[:5]))) >= 0.5)
     assert list(state.sampler.history) == [(5, int(recount))]
+
+
+def test_engine_score_is_the_eval_score(payload_classifier):
+    """Replay scores a packet as a one-row batch; eval scores a corpus as
+    one batch.  Every payload gets the same bits from both."""
+    featurizer, model = payload_classifier
+    rng = np.random.default_rng(SEED)
+    payloads, _ = labeled_corpus(rng, 150, 80)
+    payloads += ["", "ab", "/unseen?x=%00%ff", "é٣/" * 40]
+    scores = logistic.predict_proba(model,
+                                    stack_dense(featurizer,
+                                                tokenize(payloads)))
+    engine = make_engine(payload_classifier)
+    for payload, score in zip(payloads, scores):
+        assert repr(engine.score(payload)) == repr(float(score))
 
 
 def test_process_encrypted_flow_paths(payload_classifier, hand_tree):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from flowdpi.textfeat import (LinguisticFeatures, NormalizationParams,
-                              fit_featurizer, linguistic_features, normalize,
-                              stack_dense, tokenize, transform_tfidf,
-                              trigrams)
+from flowdpi.textfeat import (Featurizer, LinguisticFeatures,
+                              NormalizationParams, TfIdfModel, fit_featurizer,
+                              linguistic_features, normalize, stack_dense,
+                              tokenize, transform_tfidf, trigrams)
 
 PAYLOAD_A = "/starnet/addons/slideshow_full.php?album_name=288150554"
 PAYLOAD_B = "/tests/numbertotexttest.php"
@@ -210,7 +210,7 @@ class TestFeaturize:
         f = fit(corpus)
         for payload in corpus:
             vec = f.featurize(payload)
-            dense = vec.to_dense()
+            dense = reference.to_dense(vec)
             n_vocab = len(f.tfidf.vocabulary)
             _, oracle = _brute_force_tfidf(corpus, payload)
             assert np.allclose(dense[:n_vocab], oracle, atol=1e-12)
@@ -221,10 +221,25 @@ class TestFeaturize:
         f = fit(["/abc", "/def"])
         X = stack_dense(f, tokenize(["/abc", "/def"]))
         assert X.shape == (2, f.dim)
+        assert X.nbytes == X.indptr.nbytes + X.indices.nbytes + X.data.nbytes
 
 
 _texts = (st.text(alphabet=st.sampled_from("ab1/ é٣"), max_size=12)
           | st.text(max_size=12))
+
+
+def _assert_batch_rows(X, featurizer, payloads):
+    """Row r of ``X`` holds the entries of ``featurize(payloads[r])``, bit
+    for bit: columns strictly ascending, linguistic ones last, no zero."""
+    assert X.shape == (len(payloads), featurizer.dim)
+    assert X.indptr[0] == 0 and X.indptr[-1] == X.data.shape[0]
+    for r, payload in enumerate(payloads):
+        lo, hi = X.indptr[r], X.indptr[r + 1]
+        vec = featurizer.featurize(payload)
+        assert tuple(X.indices[lo:hi].tolist()) == vec.indices
+        assert X.data[lo:hi].tobytes() == np.array(vec.values,
+                                                   dtype=float).tobytes()
+    assert np.all(X.data != 0.0)
 
 
 @given(st.lists(_texts, min_size=1, max_size=15),
@@ -233,8 +248,9 @@ _texts = (st.text(alphabet=st.sampled_from("ab1/ é٣"), max_size=12)
 def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
     """Fitting on any rows of a tokenized corpus gives the featurizer the
     old string fit gives, and every ``stack_dense`` row is bit for bit the
-    payload's ``featurize(...).to_dense()``; ``unseen`` payloads, outside
-    the fitted rows, bring tri-grams the vocabulary lacks."""
+    payload's ``featurize(...)`` and, made dense, the dense oracle's row;
+    ``unseen`` payloads, outside the fitted rows, bring tri-grams the
+    vocabulary lacks."""
     payloads = corpus + unseen
     tokenized = tokenize(payloads)
     n = len(corpus)
@@ -245,14 +261,24 @@ def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
     rows = data.draw(st.lists(st.integers(0, len(payloads) - 1),
                               min_size=1, max_size=20))
     X = stack_dense(f, tokenized, rows)
-    assert X.tobytes() == reference.stack_dense(
+    assert reference.dense(X).tobytes() == reference.stack_dense(
         [f.featurize(payloads[i]) for i in rows]).tobytes()
-    for r, i in enumerate(rows):
-        assert X[r].tobytes() == f.featurize(payloads[i]).to_dense().tobytes()
+    _assert_batch_rows(X, f, [payloads[i] for i in rows])
     if unseen:   # a corpus tokenized apart from the fit, as in eval
-        X = stack_dense(f, tokenize(unseen))
-        for row, payload in zip(X, unseen):
-            assert row.tobytes() == f.featurize(payload).to_dense().tobytes()
+        _assert_batch_rows(stack_dense(f, tokenize(unseen)), f, unseen)
+
+
+def test_batch_rows_sorted_under_any_vocabulary_numbering():
+    """A model file may number its vocabulary in any order; each row's
+    columns still ascend."""
+    payloads = [PAYLOAD_A, PAYLOAD_B, "/abc123"]
+    f = fit(payloads)
+    shuffled = list(f.tfidf.vocabulary)[::-1]
+    g = Featurizer(TfIdfModel({t: i for i, t in enumerate(shuffled)},
+                              tuple(f.tfidf.idf[f.tfidf.vocabulary[t]]
+                                    for t in shuffled), f.tfidf.n_docs),
+                   f.norm)
+    _assert_batch_rows(stack_dense(g, tokenize(payloads)), g, payloads)
 
 
 def test_stack_dense_rejects_no_rows():
