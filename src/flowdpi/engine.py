@@ -21,7 +21,7 @@ from .encflow import EncryptedFlowRecord, FlowRowError, encode, read_flow_csv
 from .flows import (Direction, FlowKey, FlowParseError, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, packet_from_json_line)
 from .sampler import AdaptiveSampler, SamplerConfig
-from .textfeat import FeatureBatch, Featurizer
+from .textfeat import Featurizer
 
 log = logging.getLogger(__name__)
 
@@ -112,6 +112,7 @@ class Engine:
         self.blacklist = blacklist
         self.featurizer = featurizer
         self.payload_model = payload_model
+        self._weights = payload_model.weights.tolist()
         self.tree_model = tree_model
         self.config = config
         self.report = EngineReport()
@@ -135,9 +136,11 @@ class Engine:
         return state
 
     def score(self, payload: str) -> float:
-        """The payload classifier's score of one payload."""
-        batch = FeatureBatch.of(self.featurizer.featurize(payload))
-        return float(logistic.predict_proba(self.payload_model, batch)[0])
+        """The payload classifier's score of one payload: bit for bit
+        its score in ``logistic.predict_proba`` of a batch."""
+        row = self.featurizer.featurize(payload)
+        return logistic.sigmoid(logistic.row_margin(
+            self._weights, self.payload_model.bias, row))
 
     def process_packet(self, packet: PacketRecord) -> Optional[Verdict]:
         state = self._flows.get(packet.flow)

@@ -5,28 +5,32 @@ tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
-Training and evaluation work on a whole corpus: ``tokenize`` counts each
-payload's tri-grams and linguistic features once, ``fit_featurizer``
-fits on any subset of its rows from those counts, and ``stack_dense``
-builds the ``FeatureBatch`` of any subset.  Replay featurizes one packet
-at a time with ``Featurizer.featurize``; both give the same bits.
+``count_payload`` counts a payload's tri-grams and linguistic features
+once.  Training and evaluation work on a whole corpus: ``tokenize``
+counts each payload, ``fit_featurizer`` fits on any subset of its rows
+from those counts, and ``stack_dense`` builds the ``FeatureBatch`` of
+any subset.  Replay featurizes one packet at a time with
+``Featurizer.featurize``, from the same counts; both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 N_LINGUISTIC = 5
 
+_DIGITS = frozenset("0123456789")
 _VOWELS = frozenset("aeiou")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
-_CONSONANTS = _LETTERS - _VOWELS   # 'y' counts as a consonant
+_DIGIT_RUNS = re.compile("[0-9]{2,}")
+_CONSONANT_RUNS = re.compile("[bcdfghjklmnpqrstvwxyz]{2,}")   # 'y' too
 
 
 def trigrams(payload: str) -> list[str]:
@@ -34,73 +38,36 @@ def trigrams(payload: str) -> list[str]:
     return [payload[i:i + 3] for i in range(len(payload) - 2)]
 
 
+def count_payload(payload: str) -> tuple[Counter, int, tuple[int, ...]]:
+    """What a payload's features are built from, counted once: how often
+    each tri-gram occurs, the number of tri-grams, and the five
+    linguistic counts of its lower-case form, ASCII only: digits, digits
+    in runs of two or more, consonants in runs of two or more, letters
+    that occur more than once, and vowels."""
+    low = payload.lower()
+    letters = _LETTERS.intersection(low)
+    linguistic = (sum(map(low.count, _DIGITS.intersection(low))),
+                  sum(map(len, _DIGIT_RUNS.findall(low))),
+                  sum(map(len, _CONSONANT_RUNS.findall(low))),
+                  sum([low.count(c) > 1 for c in letters]),
+                  sum(map(low.count, _VOWELS.intersection(letters))))
+    return Counter(trigrams(payload)), max(len(payload) - 2, 0), linguistic
+
+
 @dataclass(frozen=True)
 class TfIdfModel:
     vocabulary: dict[str, int]    # trigram -> dense column index
-    idf: tuple[float, ...]
+    idf: tuple[float, ...]        # by column
     n_docs: int
 
-
-def transform_tfidf(model: TfIdfModel, payload: str) -> list[tuple[int, float]]:
-    """Sparse (index, tf*idf) pairs for the payload's tri-gram block.
-
-    TF is the relative frequency over all tri-grams of the payload
-    (out-of-vocabulary ones included in the denominator).
-    """
-    grams = trigrams(payload)
-    if not grams:
-        return []
-    total = len(grams)
-    counts = Counter(grams)
-    pairs = []
-    for t, c in counts.items():
-        idx = model.vocabulary.get(t)
-        if idx is not None:
-            pairs.append((idx, (c / total) * model.idf[idx]))
-    pairs.sort()
-    return pairs
-
-
-@dataclass(frozen=True)
-class LinguisticFeatures:
-    n_digits: int
-    n_consecutive_digits: int
-    n_consecutive_consonants: int
-    n_repeated_letters: int
-    n_vowels: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.n_digits, self.n_consecutive_digits,
-                self.n_consecutive_consonants, self.n_repeated_letters,
-                self.n_vowels)
-
-
-def _run_sum(chars: Iterable[bool]) -> int:
-    """Sum of lengths of maximal True-runs of length >= 2."""
-    total = 0
-    run = 0
-    for hit in chars:
-        if hit:
-            run += 1
-        else:
-            if run >= 2:
-                total += run
-            run = 0
-    if run >= 2:
-        total += run
-    return total
-
-
-def linguistic_features(payload: str) -> LinguisticFeatures:
-    low = payload.lower()
-    n_digits = sum(c.isdigit() and c.isascii() for c in low)
-    n_cons_digits = _run_sum(c.isdigit() and c.isascii() for c in low)
-    n_cons_consonants = _run_sum(c in _CONSONANTS for c in low)
-    letter_counts = Counter(c for c in low if c in _LETTERS)
-    n_repeated = sum(1 for c in letter_counts.values() if c > 1)
-    n_vowels = sum(c in _VOWELS for c in low)
-    return LinguisticFeatures(n_digits, n_cons_digits, n_cons_consonants,
-                              n_repeated, n_vowels)
+    def __post_init__(self):
+        columns = self.vocabulary.values()
+        if (not {int}.issuperset(map(type, columns))
+                or sorted(columns) != list(range(len(columns)))):
+            raise ValueError("vocabulary columns must be 0..|V|-1")
+        if len(self.idf) != len(columns):
+            raise ValueError(f"idf holds {len(self.idf)} weights for "
+                             f"{len(columns)} tri-grams")
 
 
 @dataclass(frozen=True)
@@ -113,36 +80,6 @@ class NormalizationParams:
             raise ValueError("normalization params must have 5 components")
         if any(lo > hi for lo, hi in zip(self.l_min, self.l_max)):
             raise ValueError("l_min must be <= l_max component-wise")
-
-
-def normalize(params: NormalizationParams,
-              features: LinguisticFeatures) -> tuple[float, ...]:
-    """Min-max rescale each count to [0,1]; constant features map to 0,
-    transform-time out-of-range values are clamped."""
-    out = []
-    for value, lo, hi in zip(features.as_tuple(), params.l_min, params.l_max):
-        if hi == lo:
-            out.append(0.0)
-        else:
-            out.append(min(1.0, max(0.0, (value - lo) / (hi - lo))))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    dim: int
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices/values length mismatch")
-        prev = -1
-        for i in self.indices:
-            if not prev < i < self.dim:
-                raise ValueError("indices must be strictly increasing "
-                                 "and < dim")
-            prev = i
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +100,6 @@ class FeatureBatch:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
-    @classmethod
-    def of(cls, vec: FeatureVector) -> FeatureBatch:
-        """``vec`` as a one-row batch."""
-        return cls(np.array((0, len(vec.indices)), dtype=np.intp),
-                   np.array(vec.indices, dtype=np.intp),
-                   np.array(vec.values, dtype=float), (1, vec.dim))
-
 
 @dataclass(frozen=True)
 class Featurizer:
@@ -182,23 +112,28 @@ class Featurizer:
     def dim(self) -> int:
         return len(self.tfidf.vocabulary) + N_LINGUISTIC
 
-    def featurize(self, payload: str) -> FeatureVector:
-        return featurize(self.tfidf, self.norm, payload)
+    def featurize(self, payload: str) -> list[tuple[int, float]]:
+        """The payload's feature row: (column, value) pairs, columns
+        ascending, bit for bit its row of ``stack_dense``.
 
-
-def featurize(tfidf_model: TfIdfModel, norm_params: NormalizationParams,
-              payload: str) -> FeatureVector:
-    """Tri-gram block at [0, |V|) followed by the 5 normalized linguistic
-    components; zero entries omitted from the sparse form."""
-    n_vocab = len(tfidf_model.vocabulary)
-    pairs = transform_tfidf(tfidf_model, payload)
-    ling = normalize(norm_params, linguistic_features(payload))
-    for j, value in enumerate(ling):
-        if value != 0.0:
-            pairs.append((n_vocab + j, value))
-    indices, values = zip(*pairs) if pairs else ((), ())
-    return FeatureVector(n_vocab + N_LINGUISTIC, tuple(indices),
-                         tuple(values))
+        Tri-gram ``t`` of the vocabulary gets ``(count / total) *
+        idf[t]``, where ``total`` counts every tri-gram of the payload;
+        linguistic count ``j`` is min-max scaled, clamped to [0, 1] (0
+        when ``l_min == l_max``) and left out when 0.
+        """
+        grams, total, linguistic = count_payload(payload)
+        vocabulary, idf = self.tfidf.vocabulary, self.tfidf.idf
+        row = [(col, (c / total) * idf[col]) for t, c in grams.items()
+               if (col := vocabulary.get(t)) is not None]
+        row.sort()
+        col = len(vocabulary)
+        for v, lo, hi in zip(linguistic, self.norm.l_min, self.norm.l_max):
+            if hi != lo:
+                x = (v - lo) / (hi - lo)
+                if x > 0.0:
+                    row.append((col, x if x < 1.0 else 1.0))
+            col += 1
+        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +175,8 @@ class TokenizedCorpus:
 
 
 def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
-    grams = [Counter(trigrams(p)) for p in payloads]
+    counted = [count_payload(p) for p in payloads]
+    grams = [g for g, _, _ in counted]
     vocabulary = tuple(sorted(set().union(*grams)))
     index = {t: i for i, t in enumerate(vocabulary)}
     indptr = np.zeros(len(grams) + 1, dtype=np.intp)
@@ -252,10 +188,9 @@ def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
                          dtype=np.int64, count=nnz)
     order = np.lexsort((ids, np.repeat(np.arange(len(grams)),
                                        np.diff(indptr))))
-    totals = np.array([max(len(p) - 2, 0) for p in payloads], dtype=np.int64)
-    linguistic = np.array([linguistic_features(p).as_tuple()
-                           for p in payloads],
-                          dtype=np.int64).reshape(len(payloads), N_LINGUISTIC)
+    totals = np.array([t for _, t, _ in counted], dtype=np.int64)
+    linguistic = np.array([ling for _, _, ling in counted],
+                          dtype=np.int64).reshape(len(counted), N_LINGUISTIC)
     return TokenizedCorpus(vocabulary, indptr, ids[order], counts[order],
                            totals, linguistic)
 
@@ -287,7 +222,8 @@ def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
 
 def _normalize_rows(params: NormalizationParams,
                     counts: np.ndarray) -> np.ndarray:
-    """``normalize`` over rows of linguistic counts, same expressions."""
+    """Each linguistic count scaled as ``Featurizer.featurize`` scales
+    it, by the same expressions, over rows of counts."""
     lo = np.array(params.l_min, dtype=float)
     hi = np.array(params.l_max, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,11 +1,16 @@
-"""Oracles for the payload-training path.
+"""Oracles for the payload featurization and training paths.
+
+The per-payload featurization that ``textfeat.count_payload`` and
+``Featurizer.featurize`` replaced: ``linguistic_features`` walks the
+payload a character at a time, ``transform_tfidf`` and ``normalize``
+give the tri-gram and linguistic blocks, and ``featurize`` joins them
+into a row of (column, value) pairs.
 
 The composition that the batch path replaced: ``fit_featurizer`` fits on
-a list of payload strings, ``stack_dense`` stacks per-payload
-``FeatureVector``s into a dense matrix, ``loss_grad`` is the dense
-(BLAS) loss and gradient, and ``train`` is the gradient-descent loop
-that built a ``LogisticModel`` and checked its inputs on every
-line-search trial.
+a list of payload strings, ``stack_dense`` stacks per-payload rows into
+a dense matrix, ``loss_grad`` is the dense (BLAS) loss and gradient, and
+``train`` is the gradient-descent loop that built a ``LogisticModel``
+and checked its inputs on every line-search trial.
 
 The summation order that defines a score and a gradient, in plain
 Python: ``segment_sum`` is ``S``, ``margins`` and ``gradient`` apply it
@@ -20,12 +25,108 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from flowdpi import logistic
 from flowdpi.textfeat import (FeatureBatch, Featurizer, NormalizationParams,
-                              TfIdfModel, linguistic_features, trigrams)
+                              TfIdfModel, trigrams)
+
+_VOWELS = frozenset("aeiou")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
+_CONSONANTS = _LETTERS - _VOWELS   # 'y' counts as a consonant
+
+
+@dataclass(frozen=True)
+class LinguisticFeatures:
+    n_digits: int
+    n_consecutive_digits: int
+    n_consecutive_consonants: int
+    n_repeated_letters: int
+    n_vowels: int
+
+    def as_tuple(self) -> tuple[int, int, int, int, int]:
+        return (self.n_digits, self.n_consecutive_digits,
+                self.n_consecutive_consonants, self.n_repeated_letters,
+                self.n_vowels)
+
+
+def _run_sum(chars: Iterable[bool]) -> int:
+    """Sum of lengths of maximal True-runs of length >= 2."""
+    total = 0
+    run = 0
+    for hit in chars:
+        if hit:
+            run += 1
+        else:
+            if run >= 2:
+                total += run
+            run = 0
+    if run >= 2:
+        total += run
+    return total
+
+
+def linguistic_features(payload: str) -> LinguisticFeatures:
+    low = payload.lower()
+    n_digits = sum(c.isdigit() and c.isascii() for c in low)
+    n_cons_digits = _run_sum(c.isdigit() and c.isascii() for c in low)
+    n_cons_consonants = _run_sum(c in _CONSONANTS for c in low)
+    letter_counts = Counter(c for c in low if c in _LETTERS)
+    n_repeated = sum(1 for c in letter_counts.values() if c > 1)
+    n_vowels = sum(c in _VOWELS for c in low)
+    return LinguisticFeatures(n_digits, n_cons_digits, n_cons_consonants,
+                              n_repeated, n_vowels)
+
+
+def transform_tfidf(model: TfIdfModel,
+                    payload: str) -> list[tuple[int, float]]:
+    """Sparse (index, tf*idf) pairs for the payload's tri-gram block.
+
+    TF is the relative frequency over all tri-grams of the payload
+    (out-of-vocabulary ones included in the denominator).
+    """
+    grams = trigrams(payload)
+    if not grams:
+        return []
+    total = len(grams)
+    counts = Counter(grams)
+    pairs = []
+    for t, c in counts.items():
+        idx = model.vocabulary.get(t)
+        if idx is not None:
+            pairs.append((idx, (c / total) * model.idf[idx]))
+    pairs.sort()
+    return pairs
+
+
+def normalize(params: NormalizationParams,
+              features: LinguisticFeatures) -> tuple[float, ...]:
+    """Min-max rescale each count to [0,1]; constant features map to 0,
+    transform-time out-of-range values are clamped."""
+    out = []
+    for value, lo, hi in zip(features.as_tuple(), params.l_min, params.l_max):
+        if hi == lo:
+            out.append(0.0)
+        else:
+            out.append(min(1.0, max(0.0, (value - lo) / (hi - lo))))
+    return tuple(out)
+
+
+def featurize(featurizer: Featurizer,
+              payload: str) -> list[tuple[int, float]]:
+    """Tri-gram block at [0, |V|) followed by the 5 normalized linguistic
+    components, as (column, value) pairs; zero linguistic entries
+    omitted."""
+    n_vocab = len(featurizer.tfidf.vocabulary)
+    pairs = transform_tfidf(featurizer.tfidf, payload)
+    ling = normalize(featurizer.norm, linguistic_features(payload))
+    for j, value in enumerate(ling):
+        if value != 0.0:
+            pairs.append((n_vocab + j, value))
+    return pairs
 
 
 def fit_featurizer(corpus: list[str]) -> Featurizer:
@@ -45,24 +146,19 @@ def fit_featurizer(corpus: list[str]) -> Featurizer:
     return Featurizer(TfIdfModel(vocab, tuple(idf), n), norm)
 
 
-def stack_dense(vectors) -> np.ndarray:
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    dim = vectors[0].dim
-    X = np.zeros((len(vectors), dim))
-    for i, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValueError("inconsistent feature dimensions")
-        if v.indices:
-            X[i, list(v.indices)] = v.values
-    return X
+def stack_dense(rows, dim: int) -> np.ndarray:
+    """Rows of (column, value) pairs as a dense matrix of ``dim``
+    columns."""
+    if not rows:
+        raise ValueError("no rows to stack")
+    return np.array([to_dense(row, dim) for row in rows])
 
 
-def to_dense(vec) -> np.ndarray:
-    """A ``FeatureVector`` as a dense row."""
-    dense = np.zeros(vec.dim)
-    if vec.indices:
-        dense[list(vec.indices)] = vec.values
+def to_dense(row, dim: int) -> np.ndarray:
+    """A row of (column, value) pairs as a dense vector."""
+    dense = np.zeros(dim)
+    for col, value in row:
+        dense[col] = value
     return dense
 
 

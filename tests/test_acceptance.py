@@ -19,9 +19,8 @@ from flowdpi.blacklist import load_blacklist
 from flowdpi.engine import Engine, EngineConfig
 from flowdpi.flows import packet_to_json_line
 from flowdpi.sampler import SamplerConfig, trace
-from flowdpi.textfeat import (fit_featurizer, linguistic_features,
-                              stack_dense, tokenize, transform_tfidf,
-                              trigrams)
+from flowdpi.textfeat import (count_payload, fit_featurizer, stack_dense,
+                              tokenize, trigrams)
 import reference
 from synth import (benign_payload, labeled_corpus, malicious_payload,
                    separable_blobs)
@@ -162,11 +161,12 @@ def test_c3_trigram_list():
 
 def test_c4_linguistic_calibration():
     with criterion("C4", "reference payload feature counts (deviation 0)"):
-        a = linguistic_features(
-            "/starnet/addons/slideshow_full.php?album_name=288150554")
+        payload_a = "/starnet/addons/slideshow_full.php?album_name=288150554"
+        payload_b = "/tests/numbertotexttest.php"
+        a = reference.linguistic_features(payload_a)
         assert a.n_digits == 9
         assert a.n_consecutive_digits == 9
-        b = linguistic_features("/tests/numbertotexttest.php")
+        b = reference.linguistic_features(payload_b)
         assert b.n_digits == 0
         assert b.n_consecutive_digits == 0
         assert b.n_repeated_letters == 4
@@ -174,6 +174,9 @@ def test_c4_linguistic_calibration():
         # the allowed deviation (<= 2 counts) is zero in practice
         assert a.as_tuple() == (9, 9, 19, 12, 12)
         assert b.as_tuple() == (0, 0, 15, 4, 6)
+        # the package's counter gives the oracle's counts
+        assert count_payload(payload_a)[2] == a.as_tuple()
+        assert count_payload(payload_b)[2] == b.as_tuple()
 
 
 # --- C5: tf-idf oracle ------------------------------------------------
@@ -210,12 +213,14 @@ def test_c5_tfidf_against_dense_oracle():
                       for _ in range(int(rng.integers(1, 51)))]
             docs = corpus + ["".join(rng.choice(alphabet, size=12))
                              for _ in range(5)]
-            model = fit_featurizer(tokenize(corpus)).tfidf
+            featurizer = fit_featurizer(tokenize(corpus))
+            n_vocab = len(featurizer.tfidf.vocabulary)
             dense = _dense_tfidf(corpus, docs)
             for r, doc in enumerate(docs):
-                vec = np.zeros(len(model.vocabulary))
-                for idx, value in transform_tfidf(model, doc):
-                    vec[idx] = value
+                vec = np.zeros(n_vocab)
+                for idx, value in featurizer.featurize(doc):
+                    if idx < n_vocab:   # the tri-gram block
+                        vec[idx] = value
                 if dense.size:
                     assert np.max(np.abs(vec - dense[r])) <= 1e-12
         assert time.monotonic() - start < 10.0

@@ -87,7 +87,7 @@ class TestTrainPayload:
 
         def stack(featurizer, rows):
             return reference.stack_dense([featurizer.featurize(payloads[i])
-                                          for i in rows])
+                                          for i in rows], featurizer.dim)
 
         def fit(rows, dense):
             featurizer = reference.fit_featurizer([payloads[i] for i in rows])

@@ -1,8 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from flowdpi import logistic
 from flowdpi.blacklist import load_blacklist
 from flowdpi.encflow import parse_flow_row
@@ -10,7 +14,9 @@ from flowdpi.engine import (Engine, EngineConfig, EngineConfigError,
                             ReplayDataError, write_actions_csv)
 from flowdpi.flows import (VerdictKind, VerdictReason, packet_from_json_line,
                            packet_to_json_line)
-from flowdpi.textfeat import fit_featurizer, stack_dense, tokenize
+from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
+                              count_payload, fit_featurizer, stack_dense,
+                              tokenize, trigrams)
 from flowdpi.tree import DecisionTreeModel, TreeNode
 from synth import benign_payload, labeled_corpus, malicious_payload
 
@@ -186,6 +192,68 @@ def test_engine_score_is_the_eval_score(payload_classifier):
     engine = make_engine(payload_classifier)
     for payload, score in zip(payloads, scores):
         assert repr(engine.score(payload)) == repr(float(score))
+
+
+# upper case, a non-ASCII digit, a letter whose lower case is longer, the
+# replacement character; small alphabets repeat tri-grams
+_packet_texts = (st.text(alphabet=st.sampled_from("aAbBzZ1٣İ\ufffd/ "),
+                         max_size=12)
+                 | st.text(max_size=2) | st.text(max_size=12))
+
+
+def _bits(row):
+    return [(col, value.hex()) for col, value in row]
+
+
+@st.composite
+def _model_file(draw, fitted: Featurizer):
+    """``fitted`` as a model file may hold it: the vocabulary numbered in
+    any order, idf weights of 0.0 or below, any normalizer."""
+    grams = draw(st.permutations(list(fitted.tfidf.vocabulary)))
+    idf = draw(st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.25])
+                        | st.floats(-4.0, 4.0), min_size=len(grams),
+                        max_size=len(grams)))
+    lo = draw(st.lists(st.floats(0.0, 12.0), min_size=5, max_size=5))
+    span = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+                         min_size=5, max_size=5))
+    return Featurizer(
+        TfIdfModel({t: i for i, t in enumerate(grams)}, tuple(idf),
+                   fitted.tfidf.n_docs),
+        NormalizationParams(tuple(lo), tuple(a + b for a, b in zip(lo, span))))
+
+
+@given(st.lists(_packet_texts, min_size=1, max_size=10),
+       st.lists(_packet_texts, max_size=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
+    """A sampled packet is scored from its tri-gram counts, bit for bit
+    as the oracles and the batch path do: its counts are the oracle's,
+    its row is the oracle's ``featurize`` and its ``stack_dense`` row,
+    and its score is its ``predict_proba`` score in a batch.  ``unseen``
+    payloads bring tri-grams the vocabulary lacks."""
+    featurizer = fit_featurizer(tokenize(corpus))
+    if data.draw(st.booleans()):
+        featurizer = data.draw(_model_file(featurizer))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = logistic.LogisticModel(rng.normal(scale=2.0,
+                                              size=featurizer.dim),
+                                   data.draw(st.floats(-3.0, 3.0)), 0.0)
+    engine = Engine(load_blacklist([]), featurizer, model)
+    payloads = corpus + unseen
+    X = stack_dense(featurizer, tokenize(payloads))
+    scores = logistic.predict_proba(model, X).tolist()
+    for i, payload in enumerate(payloads):
+        grams, total, linguistic = count_payload(payload)
+        assert grams == Counter(trigrams(payload))
+        assert total == len(trigrams(payload))
+        assert linguistic == \
+            reference.linguistic_features(payload).as_tuple()
+        row = featurizer.featurize(payload)
+        assert _bits(row) == _bits(reference.featurize(featurizer, payload))
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        assert _bits(row) == _bits(zip(X.indices[lo:hi].tolist(),
+                                       X.data[lo:hi].tolist()))
+        assert engine.score(payload).hex() == scores[i].hex()
 
 
 def test_process_encrypted_flow_paths(payload_classifier, hand_tree):

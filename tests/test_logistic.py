@@ -34,6 +34,16 @@ class TestSigmoid:
         for v in edges:
             assert repr(sigmoid(v)) == repr(reference.sigmoid(v))
 
+    def test_float_gives_the_bits_of_an_array(self):
+        """A float takes the scalar path; each must score as in an array."""
+        edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0,
+                 746.0, -746.0, math.inf, -math.inf]
+        z = np.concatenate([edges, np.random.default_rng(3).normal(
+            scale=20.0, size=20000)])
+        assert [sigmoid(v).hex() for v in z.tolist()] == \
+            [v.hex() for v in sigmoid(z).tolist()]
+        assert type(sigmoid(0.5)) is float
+
 
 class TestLossGrad:
     def test_zero_model_balanced_loss_is_ln2(self):

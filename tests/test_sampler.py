@@ -161,6 +161,15 @@ def test_trace_rows_expose_prediction():
     assert rows[2].predicted is not None
 
 
+def test_zero_hit_flow_climbs_to_w_max():
+    """A hit count equal to the last one backs the window off by half its
+    last change, or grows an unchanged window by 5, so a flow with no
+    hits drifts up to w_max rather than back toward w_min (README)."""
+    windows = [r.w for r in trace(CFG, [0] * 16)]
+    assert windows == [5, 5, 5, 10, 8, 9, 9, 14, 12, 13, 13, 15, 14, 15,
+                       15, 15]
+
+
 def test_trace_clamps_oversized_deltas():
     rows = trace(CFG, [99, 99, 99, 99])
     for r in rows:

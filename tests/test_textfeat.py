@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from flowdpi.textfeat import (Featurizer, LinguisticFeatures,
-                              NormalizationParams, TfIdfModel, fit_featurizer,
-                              linguistic_features, normalize, stack_dense,
-                              tokenize, transform_tfidf, trigrams)
+from flowdpi import textfeat
+from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
+                              count_payload, fit_featurizer, stack_dense,
+                              tokenize, trigrams)
+from reference import LinguisticFeatures
 
 PAYLOAD_A = "/starnet/addons/slideshow_full.php?album_name=288150554"
 PAYLOAD_B = "/tests/numbertotexttest.php"
@@ -21,6 +22,30 @@ def fit(corpus):
 
 def fit_tfidf(corpus):
     return fit(corpus).tfidf
+
+
+def tfidf_block(featurizer, payload):
+    """The tri-gram entries of the payload's feature row, which must be
+    the oracle's ``transform_tfidf`` pairs."""
+    n_vocab = len(featurizer.tfidf.vocabulary)
+    block = [(i, v) for i, v in featurizer.featurize(payload) if i < n_vocab]
+    assert block == reference.transform_tfidf(featurizer.tfidf, payload)
+    return block
+
+
+def linguistic_features(payload):
+    """The counter's five linguistic counts, which must be the oracle's."""
+    oracle = reference.linguistic_features(payload)
+    assert count_payload(payload)[2] == oracle.as_tuple()
+    return oracle
+
+
+def normalize(params, features):
+    """The oracle's scaled counts, which ``stack_dense`` must give too."""
+    out = reference.normalize(params, features)
+    rows = textfeat._normalize_rows(params, np.array([features.as_tuple()]))
+    assert rows.tobytes() == np.array([out]).tobytes()
+    return out
 
 
 class TestTrigrams:
@@ -59,16 +84,17 @@ class TestTfIdf:
             fit_tfidf([])
 
     def test_transform_values(self):
-        model = fit_tfidf(["abcd", "abce"])
-        pairs = dict(transform_tfidf(model, "abcd"))
+        f = fit(["abcd", "abce"])
+        model = f.tfidf
+        pairs = dict(tfidf_block(f, "abcd"))
         assert pairs[model.vocabulary["abc"]] == pytest.approx(0.5 * 1.0)
         assert pairs[model.vocabulary["bcd"]] == pytest.approx(
             0.5 * (math.log(3 / 2) + 1))
 
     def test_transform_edge_cases(self):
-        model = fit_tfidf(["abcd"])
-        assert transform_tfidf(model, "zz") == []
-        assert transform_tfidf(model, "xyzw") == []
+        f = fit(["abcd"])
+        assert tfidf_block(f, "zz") == []
+        assert tfidf_block(f, "xyzw") == []
 
     def test_vocabulary_sorted_and_dense(self):
         model = fit_tfidf(["beta", "alpha"])
@@ -99,10 +125,11 @@ corpus_st = st.lists(st.text(alphabet=st.characters(min_codepoint=32,
 @given(corpus_st, st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_transform_matches_dense_oracle(corpus, pick):
-    model = fit_tfidf(corpus)
+    f = fit(corpus)
+    model = f.tfidf
     payload = corpus[pick % len(corpus)]
     grams, dense = _brute_force_tfidf(corpus, payload)
-    sparse = dict(transform_tfidf(model, payload))
+    sparse = dict(tfidf_block(f, payload))
     for j, g in enumerate(grams):
         assert abs(sparse.get(model.vocabulary[g], 0.0) - dense[j]) < 1e-12
 
@@ -181,19 +208,19 @@ class TestNormalization:
 class TestFeaturize:
     def test_linguistic_block_occupies_tail(self):
         f = fit(["/abc123", "/def456789"])
-        vec = f.featurize("/abc123")
+        row = f.featurize("/abc123")
         n_vocab = len(f.tfidf.vocabulary)
-        assert vec.dim == n_vocab + 5
-        tail = [i for i in vec.indices if i >= n_vocab]
-        for i, v in zip(vec.indices, vec.values):
+        assert f.dim == n_vocab + 5
+        tail = [i for i, _ in row if i >= n_vocab]
+        for i, v in row:
             if i >= n_vocab:
                 assert 0.0 <= v <= 1.0
         assert tail   # digits present, so at least one linguistic entry
 
     def test_empty_payload_has_no_trigram_entries(self):
         f = fit(["/abc123"])
-        vec = f.featurize("")
-        assert all(i >= len(f.tfidf.vocabulary) for i in vec.indices)
+        row = f.featurize("")
+        assert all(i >= len(f.tfidf.vocabulary) for i, _ in row)
 
     def test_deterministic(self):
         f = fit(["/abc", "/def"])
@@ -209,8 +236,7 @@ class TestFeaturize:
         corpus = ["/abc123", "/def456", "/abcdef9"]
         f = fit(corpus)
         for payload in corpus:
-            vec = f.featurize(payload)
-            dense = reference.to_dense(vec)
+            dense = reference.to_dense(f.featurize(payload), f.dim)
             n_vocab = len(f.tfidf.vocabulary)
             _, oracle = _brute_force_tfidf(corpus, payload)
             assert np.allclose(dense[:n_vocab], oracle, atol=1e-12)
@@ -235,9 +261,9 @@ def _assert_batch_rows(X, featurizer, payloads):
     assert X.indptr[0] == 0 and X.indptr[-1] == X.data.shape[0]
     for r, payload in enumerate(payloads):
         lo, hi = X.indptr[r], X.indptr[r + 1]
-        vec = featurizer.featurize(payload)
-        assert tuple(X.indices[lo:hi].tolist()) == vec.indices
-        assert X.data[lo:hi].tobytes() == np.array(vec.values,
+        row = featurizer.featurize(payload)
+        assert X.indices[lo:hi].tolist() == [i for i, _ in row]
+        assert X.data[lo:hi].tobytes() == np.array([v for _, v in row],
                                                    dtype=float).tobytes()
     assert np.all(X.data != 0.0)
 
@@ -262,7 +288,7 @@ def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
                               min_size=1, max_size=20))
     X = stack_dense(f, tokenized, rows)
     assert reference.dense(X).tobytes() == reference.stack_dense(
-        [f.featurize(payloads[i]) for i in rows]).tobytes()
+        [f.featurize(payloads[i]) for i in rows], f.dim).tobytes()
     _assert_batch_rows(X, f, [payloads[i] for i in rows])
     if unseen:   # a corpus tokenized apart from the fit, as in eval
         _assert_batch_rows(stack_dense(f, tokenize(unseen)), f, unseen)
@@ -279,6 +305,23 @@ def test_batch_rows_sorted_under_any_vocabulary_numbering():
                                     for t in shuffled), f.tfidf.n_docs),
                    f.norm)
     _assert_batch_rows(stack_dense(g, tokenize(payloads)), g, payloads)
+
+
+@pytest.mark.parametrize("vocabulary, idf", [
+    ({"abc": 0, "bcd": -1}, (1.0, 1.0)),    # would index from the end
+    ({"abc": 0, "bcd": 2}, (1.0, 1.0)),     # a gap
+    ({"abc": 1, "bcd": 1}, (1.0, 1.0)),     # a repeat
+    ({"abc": 0, "bcd": 1.0}, (1.0, 1.0)),   # not an integer
+    ({"abc": 0, "bcd": True}, (1.0, 1.0)),
+    ({"abc": 0, "bcd": 1}, (1.0,)),         # idf too short
+    ({"abc": 0}, (1.0, 1.0)),               # idf too long
+])
+def test_featurizer_rejects_bad_vocabulary(vocabulary, idf):
+    """The packet path indexes lists by column, so the columns must be
+    0..|V|-1 with one idf weight each; a bad model fails when built."""
+    with pytest.raises(ValueError):
+        Featurizer(TfIdfModel(vocabulary, idf, 2),
+                   NormalizationParams((0.0,) * 5, (1.0,) * 5))
 
 
 def test_stack_dense_rejects_no_rows():
