@@ -4,7 +4,9 @@
 Generates synthetic data, trains the payload and encrypted-flow models,
 evaluates both, replays the packet stream and traces the adaptive
 sampler over a few per-window hit counts — all through the public CLI,
-so the demo doubles as a smoke test of all five commands.
+so the demo doubles as a smoke test of all five commands. The replay
+runs with ``--strict``, so any generated packet, flow or blacklist line
+outside the input grammar fails the demo.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def main() -> int:
                "--flows", str(d / "flows.csv"),
                "--tree-model", str(d / "tree-model.json"),
                "--report-out", str(d / "replay-report.json"),
-               "--actions-out", str(d / "actions.csv")])
+               "--actions-out", str(d / "actions.csv"), "--strict"])
     # per-window hit counts: two warm-up windows, a flat stretch that grows
     # the window, then bursts that move it both ways
     (d / "deltas.csv").write_text(

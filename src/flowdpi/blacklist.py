@@ -7,14 +7,10 @@ O(number of distinct prefix lengths) regardless of list size.
 
 from __future__ import annotations
 
-import ipaddress
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .flows import FlowParseError, parse_ipv4
-
-log = logging.getLogger(__name__)
+from .flows import FlowParseError, parse_cidr, parse_ipv4
 
 
 @dataclass(frozen=True)
@@ -23,7 +19,8 @@ class Blacklist:
     # prefix length -> set of network addresses (as ints, host bits zeroed)
     networks: Mapping[int, frozenset[int]]
     n_entries: int
-    n_skipped: int = 0
+    # "{source}:{line}: {reason}" of every line that parse_cidr rejects
+    errors: tuple[str, ...] = ()
     # (netmask, network addresses) per prefix length, built from networks
     _masked: tuple = field(init=False, repr=False, compare=False)
 
@@ -49,27 +46,25 @@ def load_blacklist(lines: Iterable[str],
                    source_name: str = "blacklist") -> Blacklist:
     """Parse blacklist text: one address or CIDR per line, '#' comments.
 
-    Malformed lines are skipped and counted, never fatal.
+    A line that ``parse_cidr`` rejects lists nothing; its reason goes to
+    ``errors``.
     """
     networks: dict[int, set[int]] = {}
     n_entries = 0
-    n_skipped = 0
-    for raw in lines:
+    errors = []
+    for line_no, raw in enumerate(lines, start=1):
         entry = raw.split("#", 1)[0].strip()
         if not entry:
             continue
         try:
-            net = ipaddress.ip_network(entry, strict=False)
-            if net.version != 4:
-                raise ValueError("IPv6 entry")
-        except ValueError:
-            log.warning("skipping malformed blacklist entry: %s", entry)
-            n_skipped += 1
+            network, plen = parse_cidr(entry)
+        except ValueError as exc:
+            errors.append(f"{source_name}:{line_no}: {exc}")
             continue
-        networks.setdefault(net.prefixlen, set()).add(int(net.network_address))
+        networks.setdefault(plen, set()).add(network)
         n_entries += 1
     frozen = {plen: frozenset(nets) for plen, nets in networks.items()}
-    return Blacklist(source_name, frozen, n_entries, n_skipped)
+    return Blacklist(source_name, frozen, n_entries, tuple(errors))
 
 
 def check_flow(blacklist: Blacklist, observed_src_ip: int | str) -> bool:

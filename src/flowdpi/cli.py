@@ -22,7 +22,8 @@ from .blacklist import load_blacklist
 from .encflow import FlowRowError, encode, read_flow_csv
 from .engine import (Engine, EngineConfig, EngineConfigError,
                      ReplayDataError, write_actions_csv)
-from .flows import FlowParseError, labeled_payload_from_json_line
+from .flows import (FlowParseError, labeled_payload_from_json_line,
+                    parse_uint)
 from .sampler import SamplerConfig, trace
 from .textfeat import fit_featurizer, stack_dense, tokenize
 
@@ -158,13 +159,16 @@ def _sampler_config(args) -> SamplerConfig:
                          history_len=args.history)
 
 
-def _read_labeled_corpus(path: Path):
+def _read_lines(path: Path, what: str) -> list[str]:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus: {exc}") from exc
+        return path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+
+
+def _read_labeled_corpus(path: Path):
     payloads, labels = [], []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_read_lines(path, "corpus"), start=1):
         if not line.strip():
             continue
         try:
@@ -179,13 +183,9 @@ def _read_labeled_corpus(path: Path):
 
 
 def _read_labeled_flows(path: Path):
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read flow csv: {exc}") from exc
     X, y = [], []
     try:
-        for record in read_flow_csv(lines):
+        for record in read_flow_csv(_read_lines(path, "flow csv")):
             if record.label is None:
                 raise DataError(f"{path}: unlabeled row in training data")
             X.append(encode(record))
@@ -301,16 +301,10 @@ def cmd_replay(args) -> int:
     if args.tree_model and not args.flows:
         raise UsageError("--tree-model classifies the flows of --flows; "
                          "give both or neither")
-    try:
-        blacklist_lines = args.blacklist.read_text(
-            encoding="utf-8").splitlines()
-        packet_lines = args.packets.read_text(encoding="utf-8").splitlines()
-        flow_lines = (args.flows.read_text(encoding="utf-8").splitlines()
-                      if args.flows else None)
-    except OSError as exc:
-        raise DataError(str(exc)) from exc
-    blacklist = load_blacklist(blacklist_lines,
+    blacklist = load_blacklist(_read_lines(args.blacklist, "blacklist"),
                                source_name=str(args.blacklist))
+    packet_lines = _read_lines(args.packets, "packet stream")
+    flow_lines = _read_lines(args.flows, "flow csv") if args.flows else None
     featurizer, payload_model = persistence.load_payload_model(
         args.payload_model)
     tree_model = (persistence.load_tree_model(args.tree_model)
@@ -340,23 +334,16 @@ def cmd_replay(args) -> int:
 
 
 def cmd_sample_trace(args) -> int:
-    try:
-        lines = args.input.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read delta csv: {exc}") from exc
     deltas = []
+    lines = _read_lines(args.input, "delta csv")
     for line_no, line in enumerate(lines, start=1):
         cell = line.split(",", 1)[0].strip()
         if not cell or (line_no == 1 and cell.lower() == "delta"):
             continue
-        if cell.startswith("-") and cell[1:].isascii() \
-                and cell[1:].isdigit():
-            raise DataError(f"{args.input}:{line_no}: negative hit count "
-                            f"{cell!r}")
-        if not (cell.isascii() and cell.isdigit()):
-            raise DataError(f"{args.input}:{line_no}: hit count {cell!r} "
-                            f"is not a whole number in ASCII digits")
-        deltas.append(int(cell))
+        try:
+            deltas.append(parse_uint(cell, "hit count"))
+        except ValueError as exc:
+            raise DataError(f"{args.input}:{line_no}: {exc}") from exc
     rows = trace(_sampler_config(args), deltas)
     out = open(args.output, "w", encoding="utf-8", newline="") \
         if args.output else sys.stdout

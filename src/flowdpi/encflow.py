@@ -7,14 +7,13 @@ metadata only: TLS version, TTL, duration, ports and packet rate.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .flows import FlowKey, canonicalize_flow_key
+from .flows import (FlowKey, FlowParseError, canonicalize_flow_key,
+                    parse_decimal, parse_uint)
 
 RATE_EPSILON = 1e-3   # seconds; guards the duration=0 singularity
 
@@ -36,12 +35,15 @@ _TLS_ALIASES = {
     "tls1.1": TlsVersion.TLS1_1, "tlsv1.1": TlsVersion.TLS1_1,
     "tls1.2": TlsVersion.TLS1_2, "tlsv1.2": TlsVersion.TLS1_2,
     "tls1.3": TlsVersion.TLS1_3, "tlsv1.3": TlsVersion.TLS1_3,
+    "unknown": TlsVersion.UNKNOWN,
 }
 
 
 def parse_tls_version(text: str) -> TlsVersion:
     key = str(text).strip().lower().replace("_", ".").replace(" ", "")
-    return _TLS_ALIASES.get(key, TlsVersion.UNKNOWN)
+    if key not in _TLS_ALIASES:
+        raise FlowParseError(f"unknown tls_version {text!r}")
+    return _TLS_ALIASES[key]
 
 
 LABEL_BENIGN = 0
@@ -62,8 +64,7 @@ class FlowRowError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class EncryptedFlowRecord:
+class EncryptedFlowRecord(NamedTuple):
     flow: FlowKey
     tls_version: TlsVersion
     ttl: int
@@ -73,18 +74,6 @@ class EncryptedFlowRecord:
     src_port: int
     dst_port: int
     label: Optional[int] = None
-
-    def __post_init__(self):
-        if not 0 <= self.ttl <= 255:
-            raise ValueError(f"ttl out of range: {self.ttl}")
-        if not math.isfinite(self.duration):
-            raise ValueError(f"duration is not finite: {self.duration}")
-        if self.duration < 0:
-            raise ValueError(f"negative duration: {self.duration}")
-        if self.fwd_packets < 0 or self.bwd_packets < 0:
-            raise ValueError(f"negative packet count: fwd_pkts "
-                             f"{self.fwd_packets}, bwd_pkts "
-                             f"{self.bwd_packets}")
 
 
 REQUIRED_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "proto",
@@ -96,15 +85,18 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
         if row.get(col) in (None, ""):
             raise FlowRowError(row_no, f"missing column '{col}'")
     try:
-        src_port = int(row["src_port"])
-        dst_port = int(row["dst_port"])
+        src_port = parse_uint(row["src_port"], "src_port")
+        dst_port = parse_uint(row["dst_port"], "dst_port")
         flow, _ = canonicalize_flow_key(row["src_ip"], src_port,
                                         row["dst_ip"], dst_port, row["proto"])
-        ttl = int(row["ttl"])
-        duration = float(row["duration"])
-        fwd = int(row["fwd_pkts"])
-        bwd = int(row["bwd_pkts"])
-    except (ValueError, TypeError) as exc:
+        ttl = parse_uint(row["ttl"], "ttl")
+        if ttl > 255:
+            raise FlowParseError(f"ttl out of range: {ttl}")
+        duration = parse_decimal(row["duration"], "duration")
+        fwd = parse_uint(row["fwd_pkts"], "packet count fwd_pkts")
+        bwd = parse_uint(row["bwd_pkts"], "packet count bwd_pkts")
+        tls = parse_tls_version(row["tls_version"])
+    except ValueError as exc:
         raise FlowRowError(row_no, str(exc)) from exc
     label_text = row.get("label")
     label = None
@@ -112,25 +104,25 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
         label = _LABEL_ALIASES.get(str(label_text).strip().lower())
         if label is None:
             raise FlowRowError(row_no, f"bad label {label_text!r}")
-    try:
-        return EncryptedFlowRecord(flow, parse_tls_version(row["tls_version"]),
-                                   ttl, duration, fwd, bwd,
-                                   src_port, dst_port, label)
-    except ValueError as exc:
-        raise FlowRowError(row_no, str(exc)) from exc
+    return EncryptedFlowRecord(flow, tls, ttl, duration, fwd, bwd, src_port,
+                               dst_port, label)
 
 
 def read_flow_csv(lines: Iterable[str]) -> Iterator[EncryptedFlowRecord]:
     """Parse a header-declared flow CSV; raises FlowRowError with the
-    offending data row number (header = row 0)."""
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
+    offending data row number (header = row 0, blank lines not counted)."""
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    if header is None:
         return
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise FlowRowError(0, f"header missing columns: {', '.join(missing)}")
-    for row_no, row in enumerate(reader, start=1):
-        yield parse_flow_row(row, row_no)
+    for row_no, row in enumerate(filter(None, rows), start=1):
+        if len(row) != len(header):
+            raise FlowRowError(row_no, f"{len(row)} fields where the header "
+                                       f"has {len(header)}")
+        yield parse_flow_row(dict(zip(header, row)), row_no)
 
 
 N_ENCODED = 8

@@ -212,15 +212,24 @@ class Engine:
         return Verdict(VerdictKind.PASS, record.flow,
                        VerdictReason.ENCRYPTED_CLASSIFIER, proba)
 
+    def _reject(self, message: str, strict: bool) -> None:
+        if strict:
+            raise ReplayDataError(message)
+        log.warning("%s", message)
+        self.report.errors.append(message)
+
     def run_replay(self, packet_lines: Iterable[str],
                    flow_lines: Optional[Iterable[str]] = None,
                    strict: bool = False) -> EngineReport:
         """Process a packet JSONL stream (in timestamp order) and then an
-        optional encrypted-flow CSV.  Malformed records are reported with
-        their line numbers; strict mode aborts instead."""
+        optional encrypted-flow CSV.  Malformed records, and the lines the
+        blacklist could not read, are reported with their line numbers;
+        strict mode aborts on the first instead."""
         if flow_lines is not None and self.tree_model is None:
             raise EngineConfigError(
                 "flow stream given but no tree model loaded")
+        for message in self.blacklist.errors:
+            self._reject(message, strict)
         packets = []
         for line_no, line in enumerate(packet_lines, start=1):
             if not line.strip():
@@ -228,11 +237,7 @@ class Engine:
             try:
                 packets.append(packet_from_json_line(line))
             except FlowParseError as exc:
-                message = f"packet line {line_no}: {exc}"
-                if strict:
-                    raise ReplayDataError(message) from exc
-                log.warning("%s", message)
-                self.report.errors.append(message)
+                self._reject(f"packet line {line_no}: {exc}", strict)
         packets.sort(key=attrgetter("timestamp"))   # stable: ties keep order
         for packet in packets:
             self.process_packet(packet)
@@ -244,11 +249,7 @@ class Engine:
                 except StopIteration:
                     break
                 except FlowRowError as exc:
-                    message = f"flow csv: {exc}"
-                    if strict:
-                        raise ReplayDataError(message) from exc
-                    log.warning("%s", message)
-                    self.report.errors.append(message)
+                    self._reject(f"flow csv: {exc}", strict)
                     continue
                 self.process_encrypted_flow(record)
         return self.report

@@ -41,8 +41,6 @@ UDP = Protocol("UDP", 17)
 
 
 def parse_protocol(value: Any) -> Protocol:
-    if isinstance(value, Protocol):
-        return value
     if isinstance(value, bool):
         raise FlowParseError(f"bad protocol: {value!r}")
     if isinstance(value, int):
@@ -58,9 +56,11 @@ def parse_protocol(value: Any) -> Protocol:
         return TCP
     if text == "UDP":
         return UDP
-    if text.isascii() and text.isdigit():
-        return parse_protocol(int(text))
-    raise FlowParseError(f"bad protocol: {value!r}")
+    try:
+        code = parse_uint(text, "protocol code")
+    except FlowParseError:
+        raise FlowParseError(f"bad protocol: {value!r}") from None
+    return parse_protocol(code)
 
 
 # one decimal octet 0-255 without leading zeros, as ipaddress requires
@@ -84,6 +84,51 @@ def parse_ipv4(text: Any) -> int:
             raise FlowParseError(f"bad IPv4 address: {text!r}") from None
         raise FlowParseError(f"IPv6 not supported: {text!r}")
     return int.from_bytes(socket.inet_aton(stripped), "big")
+
+
+def parse_uint(text: str, what: str) -> int:
+    """A whole number written in ASCII digits only: no sign, ``_`` or
+    whitespace."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+        raise FlowParseError(f"negative {what} {text!r}")
+    raise FlowParseError(f"{what} {text!r} is not a whole number in ASCII "
+                         f"digits")
+
+
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def parse_decimal(text: str, what: str) -> float:
+    """A finite number >= 0 written as ASCII digits, an optional
+    ``.digits`` part and an optional exponent, as ``repr`` writes every
+    finite float >= 0; no sign, ``_``, whitespace, ``inf`` or ``nan``."""
+    if _DECIMAL.fullmatch(text.removeprefix("-")) is None:
+        if text.lstrip("+-").lower() not in ("inf", "infinity", "nan"):
+            raise FlowParseError(f"{what} {text!r} is not a decimal number "
+                                 f"in ASCII digits")
+    elif text[0] == "-":
+        raise FlowParseError(f"negative {what} {text!r}")
+    elif math.isfinite(value := float(text)):
+        return value
+    raise FlowParseError(f"{what} is not finite: {text!r}")
+
+
+def parse_cidr(text: str) -> tuple[int, int]:
+    """``(network, prefix length)`` of ``a.b.c.d`` or ``a.b.c.d/n`` with
+    ``n <= 32``; host bits are cleared, so ``10.0.0.1/8`` is 10.0.0.0/8."""
+    addr, slash, prefix = text.partition("/")
+    if addr != addr.strip():   # parse_ipv4 would strip it
+        raise FlowParseError(f"whitespace in CIDR entry {text!r}")
+    network = parse_ipv4(addr)
+    if "." in prefix:
+        raise FlowParseError(f"netmask {prefix!r} in {text!r}: write the "
+                             f"prefix length, 0-32")
+    plen = parse_uint(prefix, "prefix length") if slash else 32
+    if plen > 32:
+        raise FlowParseError(f"prefix length {plen} is over 32: {text!r}")
+    return network & (~0 << (32 - plen)) & 0xFFFFFFFF, plen
 
 
 def format_ipv4(addr: int) -> str:

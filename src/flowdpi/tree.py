@@ -1,4 +1,4 @@
-"""CART-style binary decision tree (Gini impurity by default)."""
+"""CART-style binary decision tree on Gini impurity."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-CRITERIA = ("gini", "entropy")
 
 
 @dataclass(frozen=True)
@@ -85,29 +83,21 @@ class TreeHyper:
     max_depth: int = 12
     min_samples_split: int = 2
     min_gain: float = 1e-7
-    criterion: str = "gini"     # or "entropy"
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, "
-                             f"not {self.criterion!r}")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
 
 
-def _impurity(n_pos, n, criterion: str):
-    """Impurity of nodes holding ``n_pos`` class-1 rows out of ``n > 0``;
-    elementwise over arrays."""
+def _impurity(n_pos, n):
+    """Gini impurity of nodes holding ``n_pos`` class-1 rows out of
+    ``n > 0``; elementwise over arrays."""
     p = n_pos / n
-    if criterion == "gini":
-        return 2.0 * p * (1.0 - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+    return 2.0 * p * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray,
-                criterion: str) -> Optional[tuple[int, float, float]]:
+def _best_split(X: np.ndarray,
+                y: np.ndarray) -> Optional[tuple[int, float, float]]:
     """Best (feature, threshold, gain); ties keep the lowest feature index
     then lowest threshold.  Every position between two distinct sorted
     values of every feature is scored in one pass.  The threshold is the
@@ -119,12 +109,11 @@ def _best_split(X: np.ndarray, y: np.ndarray,
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     pos_cum = np.cumsum(y[order], axis=0)
-    parent = _impurity(n_pos, n, criterion)
+    parent = _impurity(n_pos, n)
     n_left = np.arange(1, n)[:, None]
     left_pos = pos_cum[:-1]
-    weighted = (n_left / n * _impurity(left_pos, n_left, criterion)
-                + (n - n_left) / n * _impurity(n_pos - left_pos,
-                                               n - n_left, criterion))
+    weighted = (n_left / n * _impurity(left_pos, n_left)
+                + (n - n_left) / n * _impurity(n_pos - left_pos, n - n_left))
     gain = parent - weighted
     gain[xs[:-1] == xs[1:]] = -np.inf
     if gain.size == 0:
@@ -165,7 +154,7 @@ def train(X, y, hyper: TreeHyper = TreeHyper()) -> DecisionTreeModel:
                 or idx.shape[0] < hyper.min_samples_split):
             nodes.append(_leaf(yi))
             return len(nodes) - 1
-        split = _best_split(X[idx], yi, hyper.criterion)
+        split = _best_split(X[idx], yi)
         if split is None or split[2] < hyper.min_gain:
             nodes.append(_leaf(yi))
             return len(nodes) - 1

@@ -9,7 +9,7 @@ from flowdpi.flows import FlowParseError, canonicalize_flow_key
 
 def test_load_parses_addresses_and_prefixes():
     bl = load_blacklist(["10.1.2.3", "192.168.0.0/16"])
-    assert bl.n_entries == 2 and bl.n_skipped == 0
+    assert bl.n_entries == 2 and bl.errors == ()
 
 
 def test_load_skips_comments_and_blanks():
@@ -19,7 +19,32 @@ def test_load_skips_comments_and_blanks():
 
 def test_load_counts_malformed_lines():
     bl = load_blacklist(["10.1.2.999"])
-    assert bl.n_entries == 0 and bl.n_skipped == 1
+    assert bl.n_entries == 0
+    assert bl.errors == ("blacklist:1: bad IPv4 address: '10.1.2.999'",)
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("10.0.0.0/+8", "prefix length '+8' is not a whole number"),
+    ("10.0.0.0/\u0668", "prefix length '\u0668' is not a whole number"),
+    (" 10.0.0.0 / 8", "whitespace in CIDR entry '10.0.0.0 / 8'"),
+    ("10.0.0.0/255.0.0.0", "netmask '255.0.0.0' in '10.0.0.0/255.0.0.0': "
+                           "write the prefix length"),
+    ("10.0.0.0/0.255.255.255", "write the prefix length"),
+    ("10.0.0.0/33 # too long", "prefix length 33 is over 32"),
+    ("2001:db8::/32", "IPv6 not supported"),
+])
+def test_bad_line_lists_nothing_and_is_kept_with_its_reason(line, reason):
+    bl = load_blacklist(["192.0.2.1", line], source_name="bl.txt")
+    assert bl.n_entries == 1
+    assert len(bl.errors) == 1
+    assert bl.errors[0].startswith("bl.txt:2: ") and reason in bl.errors[0]
+    assert not check_flow(bl, "10.1.2.3")
+
+
+def test_host_bits_are_cleared():
+    bl = load_blacklist(["10.0.0.1/8"])
+    assert bl.networks == {8: frozenset([10 << 24])}
+    assert check_flow(bl, "10.200.0.1") and not check_flow(bl, "11.0.0.1")
 
 
 def test_exact_match_blocks():

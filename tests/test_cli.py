@@ -132,6 +132,13 @@ class TestTrainPayload:
         assert main(["train-payload", str(path),
                      str(tmp_path / "m.json")]) == 2
 
+    def test_corpus_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"payload": "\xff", "label": 1}\n')
+        assert main(["train-payload", str(path),
+                     str(tmp_path / "m.json")]) == 2
+        assert "data error: cannot read corpus" in capsys.readouterr().err
+
     def test_malformed_record_is_data_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"payload": "/a"}\n')
@@ -173,6 +180,27 @@ class TestTrainEncrypted:
         path.write_text("\n".join(rows) + "\n")
         assert main(["train-encrypted", str(path),
                      str(tmp_path / "t.json")]) == 2
+
+    def test_port_with_a_separator_is_data_error(self, tmp_path, capsys):
+        rows = flow_csv_rows(np.random.default_rng(0), 5, 5)
+        src_ip, src_port, rest = rows[3].split(",", 2)
+        rows[3] = f"{src_ip},4_43,{rest}"
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["train-encrypted", str(path),
+                     str(tmp_path / "t.json")]) == 2
+        assert (f"data error: {path}: row 3: src_port '4_43' is not a whole "
+                f"number in ASCII digits") in capsys.readouterr().err
+
+    def test_row_with_a_field_too_many_is_data_error(self, tmp_path, capsys):
+        rows = flow_csv_rows(np.random.default_rng(0), 5, 5)
+        rows[4] += ",extra"
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["train-encrypted", str(path),
+                     str(tmp_path / "t.json")]) == 2
+        assert (f"data error: {path}: row 4: 12 fields where the header has "
+                f"11") in capsys.readouterr().err
 
 
 class TestEval:
@@ -440,6 +468,25 @@ class TestReplay:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(report["errors"]) == 1
         assert main(args + ["--strict"]) == 2
+
+    def test_bad_blacklist_line_is_reported_or_fatal_under_strict(
+            self, payload_model_file, tmp_path, capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        blacklist.write_text("# sources\n10.1.0.0/32\n10.0.0.0/+8\n")
+        args = ["replay", "--packets", str(packets),
+                "--blacklist", str(blacklist),
+                "--payload-model", str(payload_model_file),
+                "--report-out", str(tmp_path / "r.json"),
+                "--actions-out", str(tmp_path / "a.csv")]
+        assert main(args) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        reason = (f"{blacklist}:3: prefix length '+8' is not a whole number "
+                  f"in ASCII digits")
+        assert report["errors"] == [reason]
+        assert report["blacklist_blocks"] == 1
+        capsys.readouterr()
+        assert main(args + ["--strict"]) == 2
+        assert f"data error: {reason}" in capsys.readouterr().err
 
 
 class TestSampleTrace:

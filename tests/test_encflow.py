@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,11 +70,59 @@ def test_label_parsing():
         parse_flow_row(dict(GOOD_ROW, label="weird"), 1)
 
 
+@pytest.mark.parametrize("column,value,reason", [
+    ("src_port", "4_43", "src_port '4_43' is not a whole number"),
+    ("src_port", "\u0664\u0664\u0663",
+     "src_port '\u0664\u0664\u0663' is not a whole number"),
+    ("dst_port", "+443", "dst_port '+443' is not a whole number"),
+    ("ttl", " +64 ", "ttl ' +64 ' is not a whole number"),
+    ("ttl", "64.0", "ttl '64.0' is not a whole number"),
+    ("fwd_pkts", "1_000", "packet count fwd_pkts '1_000' is not a whole"),
+    ("bwd_pkts", "1e3", "packet count bwd_pkts '1e3' is not a whole"),
+    ("duration", "1_0.5", "duration '1_0.5' is not a decimal number"),
+    ("duration", "\u0661.\u0665",
+     "duration '\u0661.\u0665' is not a decimal number"),
+    ("duration", "1e999", "duration is not finite"),
+    ("tls_version", "tls9", "unknown tls_version 'tls9'"),
+    ("tls_version", "TLSv12", "unknown tls_version 'TLSv12'"),
+    ("tls_version", "garbage", "unknown tls_version 'garbage'"),
+])
+def test_malformed_field_is_rejected_with_its_reason(column, value, reason):
+    with pytest.raises(FlowRowError, match=f"row 6: {re.escape(reason)}"):
+        parse_flow_row(dict(GOOD_ROW, **{column: value}), 6)
+
+
+@pytest.mark.parametrize("value", ["1e-05", "0.5", "1e+16", "3", "0.0"])
+def test_duration_reads_every_float_repr(value):
+    assert parse_flow_row(dict(GOOD_ROW, duration=value), 1).duration == \
+        float(value)
+
+
+def test_row_with_a_field_too_many_is_rejected():
+    # a duration written "1,5" would shift every later column by one
+    header = ",".join(GOOD_ROW) + ",label"
+    good = ",".join(GOOD_ROW.values()) + ",benign"
+    shifted = good.replace(",2.0,", ",1,5,")
+    records = read_flow_csv([header, good, "", shifted])
+    assert next(records).label == 0
+    with pytest.raises(FlowRowError,
+                       match="row 2: 12 fields where the header has 11"):
+        next(records)
+
+
+def test_row_with_a_field_too_few_is_rejected():
+    header = ",".join(GOOD_ROW)
+    with pytest.raises(FlowRowError, match="row 1: 9 fields"):
+        list(read_flow_csv([header, header.rsplit(",", 1)[0]]))
+
+
 def test_tls_version_aliases():
     assert parse_tls_version("tls1.2") is TlsVersion.TLS1_2
     assert parse_tls_version("TLSv1.3") is TlsVersion.TLS1_3
     assert parse_tls_version("sslv3") is TlsVersion.SSL3
-    assert parse_tls_version("quic?") is TlsVersion.UNKNOWN
+    assert parse_tls_version("unknown") is TlsVersion.UNKNOWN
+    with pytest.raises(ValueError, match="unknown tls_version 'quic\\?'"):
+        parse_tls_version("quic?")
 
 
 def test_encode_worked_example():
@@ -97,7 +147,7 @@ def test_encode_zero_duration_finite():
 
 
 def test_encode_unknown_version_sentinel():
-    record = parse_flow_row(dict(GOOD_ROW, tls_version="mystery"), 1)
+    record = parse_flow_row(dict(GOOD_ROW, tls_version="unknown"), 1)
     assert encode(record)[0] == -1.0
 
 

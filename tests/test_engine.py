@@ -362,6 +362,19 @@ def test_replay_lenient_vs_strict(payload_classifier):
         engine.run_replay(lines, strict=True)
 
 
+def test_bad_blacklist_lines_are_reported_first(payload_classifier):
+    lines = ["not json", packet_line("10.0.5.1", "/ok")]
+    engine = make_engine(payload_classifier, ["10.0.5.0/+24", "10.0.5.1"])
+    report = engine.run_replay(lines)
+    assert report.errors[0] == ("blacklist:1: prefix length '+24' is not a "
+                                "whole number in ASCII digits")
+    assert "packet line 1" in report.errors[1] and len(report.errors) == 2
+    assert report.blacklist_blocks == 1
+    engine = make_engine(payload_classifier, ["10.0.5.0/+24"])
+    with pytest.raises(ReplayDataError, match="blacklist:1: prefix length"):
+        engine.run_replay([packet_line("10.0.5.1", "/ok")], strict=True)
+
+
 def test_counters_consistent_with_action_log(payload_classifier):
     rng = np.random.default_rng(9)
     lines = []

@@ -1,15 +1,17 @@
 import ipaddress
 import json
 import math
+import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdpi.flows import (Direction, FlowParseError, Verdict, VerdictKind,
                            VerdictReason, canonicalize_flow_key, format_ipv4,
                            labeled_payload_from_json_line,
-                           packet_from_json_line, parse_ipv4, parse_protocol)
+                           packet_from_json_line, parse_cidr, parse_decimal,
+                           parse_ipv4, parse_protocol, parse_uint)
 
 
 def test_both_directions_map_to_same_key():
@@ -283,3 +285,128 @@ def test_verdict_score_contract():
         Verdict(VerdictKind.BLOCK, key, VerdictReason.BLACKLIST, 0.5)
     with pytest.raises(ValueError):
         Verdict(VerdictKind.BLOCK, key, VerdictReason.PAYLOAD_CLASSIFIER, 1.5)
+
+
+# --- the field grammar of the text formats -------------------------------
+
+ARABIC_INDIC = {str(d): chr(0x660 + d) for d in range(10)}
+
+
+@st.composite
+def corrupted(draw, numbers):
+    """A number's text with a sign, ``_``, whitespace or a non-ASCII
+    digit put in."""
+    text = draw(numbers)
+    kind = draw(st.sampled_from(["+", "-", "_", " ", "\t", "digit"]))
+    if kind in "+-":
+        return kind + text
+    if kind == "digit":
+        i = draw(st.sampled_from([i for i, c in enumerate(text)
+                                  if c.isdigit()]))
+        return text[:i] + ARABIC_INDIC[text[i]] + text[i + 1:]
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + kind + text[i:]
+
+
+whole_numbers = st.integers(0, 10**300).map(str)
+float_reprs = st.floats(min_value=0.0, allow_nan=False,
+                        allow_infinity=False).map(repr)
+
+
+@given(whole_numbers)
+def test_parse_uint_reads_every_whole_number(text):
+    assert parse_uint(text, "n") == int(text)
+
+
+@given(st.one_of(whole_numbers, float_reprs))
+@example("0.5")
+@example("1e-05")
+@example("1e+16")
+@example("5e-324")
+def test_parse_decimal_reads_every_float_repr(text):
+    assert parse_decimal(text, "x") == float(text)
+
+
+@given(corrupted(whole_numbers))
+def test_parse_uint_rejects_signs_separators_and_other_digits(text):
+    with pytest.raises(FlowParseError):
+        parse_uint(text, "n")
+
+
+@given(corrupted(st.one_of(whole_numbers, float_reprs)))
+def test_parse_decimal_rejects_signs_separators_and_other_digits(text):
+    with pytest.raises(FlowParseError):
+        parse_decimal(text, "x")
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("-3", "negative n '-3'"),
+    ("2.0", "n '2.0' is not a whole number in ASCII digits"),
+    ("", "n '' is not a whole number in ASCII digits"),
+])
+def test_parse_uint_reasons(text, reason):
+    with pytest.raises(FlowParseError, match=re.escape(reason)):
+        parse_uint(text, "n")
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("-0.5", "negative x '-0.5'"),
+    (".5", "x '.5' is not a decimal number in ASCII digits"),
+    ("5.", "x '5.' is not a decimal number"),
+    ("0x10", "x '0x10' is not a decimal number"),
+    ("-Infinity", "x is not finite: '-Infinity'"),
+])
+def test_parse_decimal_reasons(text, reason):
+    with pytest.raises(FlowParseError, match=re.escape(reason)):
+        parse_decimal(text, "x")
+
+
+octet_texts = st.one_of(st.integers(0, 255).map(str),
+                        st.sampled_from(["256", "01", "\u0668", "+1", " 1",
+                                         "1_0", ""]))
+address_texts = st.lists(octet_texts, min_size=3, max_size=5).map(".".join)
+prefix_texts = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(["+8", "\u0668", " 8", "8 ", "08", "", "-1", "1_6"]),
+    st.integers(0, 32).map(
+        lambda n: str(ipaddress.IPv4Network((0, n)).netmask)),
+    st.integers(0, 32).map(
+        lambda n: str(ipaddress.IPv4Network((0, n)).hostmask)),
+    ips)
+cidr_lines = st.tuples(address_texts, st.none() | prefix_texts).map(
+    lambda t: t[0] if t[1] is None else f"{t[0]}/{t[1]}")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(ips, st.integers(0, 32)).map(
+                     lambda t: f"{t[0]}/{t[1]}"),
+                 cidr_lines, st.tuples(ips, prefix_texts).map("/".join),
+                 st.text("0123456789./: +-_\t\u0668", max_size=24)))
+@example("10.0.0.1/8")
+@example("10.0.0.0/255.0.0.0")
+@example("10.0.0.0/0.255.255.255")
+@example("::1/128")
+def test_parse_cidr_agrees_with_ipaddress(line):
+    try:
+        net = ipaddress.ip_network(line, strict=False)
+    except ValueError:
+        net = None
+    try:
+        got = parse_cidr(line)
+    except FlowParseError:
+        # rejected: so is it by ipaddress, or it is IPv6 or a netmask form
+        assert (net is None or net.version == 6
+                or "." in line.partition("/")[2]), line
+        return
+    assert net is not None and net.version == 4, line
+    assert got == (int(net.network_address), net.prefixlen)
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("10.0.0.0 /8", "whitespace in CIDR entry '10.0.0.0 /8'"),
+    ("10.0.0.0/ 8", "prefix length ' 8' is not a whole number"),
+    ("10.0.0.0/8/8", "prefix length '8/8' is not a whole number"),
+])
+def test_parse_cidr_reasons(line, reason):
+    with pytest.raises(FlowParseError, match=re.escape(reason)):
+        parse_cidr(line)

@@ -32,21 +32,17 @@ def _exhaustive_best_split(X, y):
     return best
 
 
-def _scalar_impurity(n_pos, n, criterion):
+def _scalar_impurity(n_pos, n):
     p = n_pos / n
-    if criterion == "gini":
-        return 2.0 * p * (1.0 - p)
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+    return 2.0 * p * (1.0 - p)
 
 
-def _scalar_best_split(X, y, criterion):
+def _scalar_best_split(X, y):
     """Straight-line split search, one candidate position at a time: the
     reference that the one-pass search must reproduce bit for bit."""
     n = y.shape[0]
     n_pos = float(y.sum())
-    parent = _scalar_impurity(n_pos, n, criterion)
+    parent = _scalar_impurity(n_pos, n)
     best = None
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
@@ -59,10 +55,9 @@ def _scalar_best_split(X, y, criterion):
             thr = mid if mid < xs[i + 1] else xs[i]
             n_left = i + 1
             left_pos = float(pos_cum[i])
-            weighted = (n_left / n * _scalar_impurity(left_pos, n_left,
-                                                      criterion)
+            weighted = (n_left / n * _scalar_impurity(left_pos, n_left)
                         + (n - n_left) / n * _scalar_impurity(
-                            n_pos - left_pos, n - n_left, criterion))
+                            n_pos - left_pos, n - n_left))
             gain = parent - weighted
             if best is None or gain > best[2]:
                 best = (f, thr, gain)
@@ -133,13 +128,11 @@ class TestTrain:
             # between splits of identical quality
             assert chosen == pytest.approx(best[0], abs=1e-12)
 
-    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @pytest.mark.parametrize("min_gain", [0.0, 1e-7])
-    def test_full_trees_match_scalar_split_search(self, criterion, min_gain,
+    def test_full_trees_match_scalar_split_search(self, min_gain,
                                                   monkeypatch):
         rng = np.random.default_rng(17)
-        hyper = TreeHyper(max_depth=10**6, min_gain=min_gain,
-                          criterion=criterion)
+        hyper = TreeHyper(max_depth=10**6, min_gain=min_gain)
         grown = []
         for _ in range(20):
             n = int(rng.integers(2, 150))
@@ -166,18 +159,8 @@ class TestTrain:
         assert np.array_equal(predict(model, X), y)
         assert [predict_one(model, row)[0] for row in X] == list(y)
 
-    def test_entropy_criterion_available(self):
-        X = np.array([[0.0], [1.0], [10.0], [11.0]])
-        y = np.array([0, 0, 1, 1])
-        model = train(X, y, TreeHyper(criterion="entropy"))
-        assert np.array_equal(predict(model, X), y)
-
 
 class TestHyper:
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(ValueError, match="criterion"):
-            TreeHyper(criterion="gini-index")
-
     def test_negative_max_depth_rejected(self):
         with pytest.raises(ValueError, match="max_depth"):
             TreeHyper(max_depth=-1)
