@@ -231,11 +231,12 @@ class Engine:
         for message in self.blacklist.errors:
             self._reject(message, strict)
         packets = []
+        endpoints: dict = {}   # raw 5-tuple -> flow, see packet_from_json_line
         for line_no, line in enumerate(packet_lines, start=1):
             if not line.strip():
                 continue
             try:
-                packets.append(packet_from_json_line(line))
+                packets.append(packet_from_json_line(line, endpoints))
             except FlowParseError as exc:
                 self._reject(f"packet line {line_no}: {exc}", strict)
         packets.sort(key=attrgetter("timestamp"))   # stable: ties keep order

@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from flowdpi import logistic
+from flowdpi import engine as engine_module
+from flowdpi import flows, logistic
 from flowdpi.blacklist import load_blacklist
 from flowdpi.encflow import parse_flow_row
 from flowdpi.engine import (Engine, EngineConfig, EngineConfigError,
@@ -373,6 +375,45 @@ def test_bad_blacklist_lines_are_reported_first(payload_classifier):
     engine = make_engine(payload_classifier, ["10.0.5.0/+24"])
     with pytest.raises(ReplayDataError, match="blacklist:1: prefix length"):
         engine.run_replay([packet_line("10.0.5.1", "/ok")], strict=True)
+
+
+def test_endpoint_memo_is_capped_and_changes_no_output(payload_classifier,
+                                                      monkeypatch):
+    # each flow sends one packet and gets one reply: two raw 5-tuples a
+    # flow, more than the memo holds
+    rng = np.random.default_rng(11)
+    n_flows = flows.ENDPOINT_MEMO_CAP // 2 + 300
+    lines = []
+    for i in range(n_flows):
+        src = f"10.{i // 250}.{i % 250}.1"
+        payload = (malicious_payload(rng) if i % 7 == 0
+                   else benign_payload(rng))
+        lines += [packet_line(src, payload, ts=float(i)),
+                  packet_line("10.0.9.9", "/ok", ts=i + 0.5, sport=80,
+                              dst=src, dport=40000)]
+    plain_parse = engine_module.packet_from_json_line
+    sizes = []
+
+    def memoized(line, memo):
+        record = plain_parse(line, memo)
+        sizes.append(len(memo))
+        return record
+
+    def replay(parse):
+        monkeypatch.setattr(engine_module, "packet_from_json_line", parse)
+        report = make_engine(payload_classifier, ["10.1.0.0/24"]
+                             ).run_replay(lines)
+        actions = io.StringIO()
+        write_actions_csv(report, actions)
+        return json.dumps(report.to_dict()), actions.getvalue()
+
+    with_memo = replay(memoized)
+    assert len(sizes) == len(lines)
+    assert max(sizes) <= flows.ENDPOINT_MEMO_CAP
+    assert max(sizes) >= flows.ENDPOINT_MEMO_CAP - 1 > sizes[-1]   # cleared
+    assert with_memo == replay(lambda line, memo: plain_parse(line))
+    report = json.loads(with_memo[0])
+    assert report["blacklist_blocks"] and report["classifier_blocks"]
 
 
 def test_counters_consistent_with_action_log(payload_classifier):

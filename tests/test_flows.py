@@ -2,11 +2,13 @@ import ipaddress
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowdpi import flows
 from flowdpi.flows import (Direction, FlowParseError, Verdict, VerdictKind,
                            VerdictReason, canonicalize_flow_key, format_ipv4,
                            labeled_payload_from_json_line,
@@ -224,6 +226,136 @@ def test_payload_must_be_a_string_or_absent(value):
     with pytest.raises(FlowParseError, match="payload must be a string"):
         packet_from_json_line(packet_json(payload=value))
     assert packet_from_json_line(packet_json(drop=["payload"])).payload == b""
+
+
+@pytest.mark.parametrize("value", ["6", " 17 ", "06", "47"])
+def test_protocol_code_must_be_a_json_integer(value):
+    # the flow CSV writes a code as digit text; a packet line has integers
+    for memo in (None, {}):
+        with pytest.raises(FlowParseError, match="protocol code must be a "
+                                                 "JSON integer"):
+            packet_from_json_line(packet_json(proto=value), memo)
+        assert not memo
+    assert packet_from_json_line(packet_json(proto=6)).flow.protocol.kind \
+        == "TCP"
+    assert packet_from_json_line(packet_json(proto=" udp ")).flow.protocol \
+        .kind == "UDP"
+
+
+MISSING = object()   # leaves the field out of the line
+
+
+def raw_packet_line(src_ip, src_port, dst_ip, dst_port, proto, ts=1.0,
+                    payload="/a"):
+    fields = {"src_ip": src_ip, "src_port": src_port, "dst_ip": dst_ip,
+              "dst_port": dst_port, "proto": proto, "ts": ts,
+              "payload": payload}
+    return json.dumps({k: v for k, v in fields.items() if v is not MISSING})
+
+
+def outcome(line, memo=None):
+    """What a parse returns, with its repr so that ``true`` and ``1``
+    differ, or the reason it rejects the line."""
+    try:
+        record = packet_from_json_line(line, memo)
+    except FlowParseError as exc:
+        return "rejected", str(exc)
+    return record, repr(record)
+
+
+def assert_memo_agrees(lines, cap=flows.ENDPOINT_MEMO_CAP):
+    memo = {}
+    with mock.patch.object(flows, "ENDPOINT_MEMO_CAP", cap):
+        for line in lines:
+            assert outcome(line, memo) == outcome(line)
+            assert len(memo) <= cap
+            for raw, (key, direction) in memo.items():
+                record = packet_from_json_line(raw_packet_line(*raw))
+                assert (record.flow, record.direction) == (key, direction)
+
+
+# each pool holds values that compare or hash equal in Python but are
+# different JSON (1 and true, 80 and 80.0, 6 and "TCP") and addresses
+# that parse equal but are different text
+MEMO_IPS = ["10.0.0.1", " 10.0.0.1", "10.0.0.1 ", "10.0.0.2", "10.0.0.999",
+            "::1", 1, None, MISSING]
+MEMO_PORTS = [0, 1, 80, 65535, 65536, -1, True, False, 80.0, 1.0, "80",
+              None, MISSING]
+MEMO_PROTOS = ["TCP", "tcp", " udp ", 0, 1, 6, 17, 300, True, False, 6.0,
+               "6", " 17 ", "ICMP", None, MISSING]
+memo_tuples = st.tuples(st.sampled_from(MEMO_IPS), st.sampled_from(MEMO_PORTS),
+                        st.sampled_from(MEMO_IPS), st.sampled_from(MEMO_PORTS),
+                        st.sampled_from(MEMO_PROTOS))
+
+
+@st.composite
+def memo_streams(draw):
+    """Lines from a few 5-tuples, each sent in either direction, with
+    type-swapped and bad-``ts`` repeats."""
+    tuples = draw(st.lists(memo_tuples, min_size=1, max_size=12))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(tuples) - 1),
+                                    st.booleans(),
+                                    st.sampled_from([1.0, 2, -1, "1"]),
+                                    st.sampled_from(["/a", None])),
+                          max_size=40))
+    lines = []
+    for index, reply, ts, payload in picks:
+        src_ip, src_port, dst_ip, dst_port, proto = tuples[index]
+        if reply:
+            src_ip, src_port, dst_ip, dst_port = (dst_ip, dst_port, src_ip,
+                                                  src_port)
+        lines.append(raw_packet_line(src_ip, src_port, dst_ip, dst_port,
+                                     proto, ts, payload))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_streams(), st.sampled_from([2, 3, 5, 4096]))
+def test_memoized_parse_is_the_plain_parse(lines, cap):
+    assert_memo_agrees(lines, cap)
+
+
+def test_memoized_parse_type_swaps_and_equal_endpoints():
+    flow = ("10.0.0.1", 1, "10.0.0.2", 80, "TCP")
+    lines = [raw_packet_line(*flow)]
+    for swap in [(0, " 10.0.0.1"), (1, True), (1, 1.0), (3, 80.0),
+                 (4, 6), (4, 6.0), (4, "6"), (4, 1), (4, True)]:
+        changed = list(flow)
+        changed[swap[0]] = swap[1]
+        lines += [raw_packet_line(*changed), raw_packet_line(*flow)]
+    # endpoints that parse equal: forward in both orders, from the first
+    # line and from the memo's entry for its reply
+    lines += [raw_packet_line(" 10.0.0.3", 9, "10.0.0.3", 9, "UDP"),
+              raw_packet_line("10.0.0.3", 9, " 10.0.0.3", 9, "UDP"),
+              raw_packet_line("10.0.0.4", 9, "10.0.0.4", 9, 17),
+              raw_packet_line("10.0.0.4", 9, "10.0.0.4", 9, 17)]
+    assert_memo_agrees(lines)
+    assert_memo_agrees(lines, cap=2)
+    assert_memo_agrees(lines[::-1])
+    for line in lines[-4:]:
+        assert packet_from_json_line(line).direction is Direction.FORWARD
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+def loaded(read, line):
+    try:
+        return "value", repr(read(line))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", " ", "\ufeff", "x"]), json_values,
+       st.sampled_from(["", "\n", "\r\n", " \n", "\n\n", "x", "\n{}"]))
+@example("[" + "1" * 5000 + ",", None, "]")   # past the digit limit
+def test_json_value_is_json_loads(before, value, after):
+    line = before + json.dumps(value) + after
+    assert loaded(flows._json_value, line) == loaded(json.loads, line)
 
 
 def test_number_past_the_digit_limit_is_a_parse_error():
