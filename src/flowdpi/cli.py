@@ -129,7 +129,7 @@ def _load_config_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -159,9 +159,19 @@ def _sampler_config(args) -> SamplerConfig:
                          history_len=args.history)
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text`` read with universal newlines, cut at "\n"
+    only: ``str.splitlines`` also cuts at U+0085, U+2028 and U+2029,
+    which a JSON string may hold raw."""
+    lines = text.split("\n")
+    if lines[-1] == "":   # the newline that ends the last line
+        lines.pop()
+    return lines
+
+
 def _read_lines(path: Path, what: str) -> list[str]:
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return _split_lines(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what}: {exc}") from exc
 
@@ -184,14 +194,13 @@ def _read_labeled_corpus(path: Path):
 
 def _read_labeled_flows(path: Path):
     X, y = [], []
-    try:
-        for record in read_flow_csv(_read_lines(path, "flow csv")):
-            if record.label is None:
-                raise DataError(f"{path}: unlabeled row in training data")
-            X.append(encode(record))
-            y.append(record.label)
-    except FlowRowError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    for record in read_flow_csv(_read_lines(path, "flow csv")):
+        if isinstance(record, FlowRowError):
+            raise DataError(f"{path}: {record}") from record
+        if record.label is None:
+            raise DataError(f"{path}: unlabeled row in training data")
+        X.append(encode(record))
+        y.append(record.label)
     if not X:
         raise DataError(f"{path}: no flow rows")
     return np.array(X), np.array(y, dtype=int)

@@ -108,21 +108,29 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
                                dst_port, label)
 
 
-def read_flow_csv(lines: Iterable[str]) -> Iterator[EncryptedFlowRecord]:
-    """Parse a header-declared flow CSV; raises FlowRowError with the
-    offending data row number (header = row 0, blank lines not counted)."""
+def read_flow_csv(lines: Iterable[str]
+                  ) -> Iterator[EncryptedFlowRecord | FlowRowError]:
+    """Parse a header-declared flow CSV: each data row's record, or the
+    FlowRowError that rejects it, in row order (header = row 0, blank
+    lines not counted).  A header that lacks a required column yields
+    its error as row 0 and nothing after it."""
     rows = csv.reader(lines)
     header = next(rows, None)
     if header is None:
         return
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
-        raise FlowRowError(0, f"header missing columns: {', '.join(missing)}")
+        yield FlowRowError(0, f"header missing columns: {', '.join(missing)}")
+        return
     for row_no, row in enumerate(filter(None, rows), start=1):
-        if len(row) != len(header):
-            raise FlowRowError(row_no, f"{len(row)} fields where the header "
-                                       f"has {len(header)}")
-        yield parse_flow_row(dict(zip(header, row)), row_no)
+        try:
+            if len(row) != len(header):
+                raise FlowRowError(row_no, f"{len(row)} fields where the "
+                                           f"header has {len(header)}")
+            record = parse_flow_row(dict(zip(header, row)), row_no)
+        except FlowRowError as exc:
+            record = exc
+        yield record
 
 
 N_ENCODED = 8

@@ -231,26 +231,20 @@ class Engine:
         for message in self.blacklist.errors:
             self._reject(message, strict)
         packets = []
-        endpoints: dict = {}   # raw 5-tuple -> flow, see packet_from_json_line
         for line_no, line in enumerate(packet_lines, start=1):
             if not line.strip():
                 continue
             try:
-                packets.append(packet_from_json_line(line, endpoints))
+                packets.append(packet_from_json_line(line))
             except FlowParseError as exc:
                 self._reject(f"packet line {line_no}: {exc}", strict)
         packets.sort(key=attrgetter("timestamp"))   # stable: ties keep order
         for packet in packets:
             self.process_packet(packet)
         if flow_lines is not None:
-            records = read_flow_csv(flow_lines)
-            while True:
-                try:
-                    record = next(records)
-                except StopIteration:
-                    break
-                except FlowRowError as exc:
-                    self._reject(f"flow csv: {exc}", strict)
-                    continue
-                self.process_encrypted_flow(record)
+            for record in read_flow_csv(flow_lines):
+                if isinstance(record, FlowRowError):
+                    self._reject(f"flow csv: {record}", strict)
+                else:
+                    self.process_encrypted_flow(record)
         return self.report

@@ -9,6 +9,7 @@ key hashes and compares without building any ``ipaddress`` object.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import math
@@ -229,17 +230,11 @@ def _json_object(line: str, what: str) -> dict:
     return obj
 
 
-# A replay parses each distinct raw 5-tuple once; its memo holds at most
-# this many raw tuples and is cleared whole when the next pair would not
-# fit.  That is both directions of 2,048 flows, and small enough that a
-# stream of short flows does not grow peak memory: with a cap of 65,536
-# the peak of a replay of 10,000 flows of 1-2 packets rose from 52 to 56 MB.
-ENDPOINT_MEMO_CAP = 4096
-
-_OPPOSITE = {Direction.FORWARD: Direction.REVERSE,
-             Direction.REVERSE: Direction.FORWARD}
-
-
+# A replay parses a raw 5-tuple once while it is among the 4,096 most
+# recently used: both directions of 2,048 flows.  ``typed=True`` keys
+# every field on its type as well, so ``true`` or ``80.0`` never stands
+# in for ``1`` or ``80``; a rejected tuple raises and is never cached.
+@functools.lru_cache(maxsize=4096, typed=True)
 def _packet_flow(src_ip, src_port, dst_ip, dst_port,
                  proto) -> tuple[FlowKey, Direction]:
     """The flow key and direction of a packet line's 5-tuple."""
@@ -252,23 +247,7 @@ def _packet_flow(src_ip, src_port, dst_ip, dst_port,
     return key, Direction.FORWARD if forward else Direction.REVERSE
 
 
-def _remember(memo: dict, raw: tuple) -> tuple[FlowKey, Direction]:
-    """Parse ``raw`` and store it, and its reply's tuple, in ``memo``."""
-    flow = key, direction = _packet_flow(*raw)
-    src_ip, src_port, dst_ip, dst_port, proto = raw
-    if len(memo) + 2 > ENDPOINT_MEMO_CAP:
-        memo.clear()
-    # endpoints that parse equal (" 10.0.0.1" and "10.0.0.1" on one port)
-    # are forward in both orders
-    if (key.src_ip, key.src_port) != (key.dst_ip, key.dst_port):
-        direction = _OPPOSITE[direction]
-    memo[dst_ip, dst_port, src_ip, src_port, proto] = key, direction
-    memo[raw] = flow   # after the reply's, in case the two tuples are equal
-    return flow
-
-
-def packet_from_json_line(line: str,
-                          memo: dict | None = None) -> PacketRecord:
+def packet_from_json_line(line: str) -> PacketRecord:
     """Parse one packet-stream JSONL record.
 
     Keys and their JSON types: ``src_ip`` and ``dst_ip`` dotted-quad
@@ -277,25 +256,15 @@ def packet_from_json_line(line: str,
     finite number >= 0; ``payload`` a string (default ""); ``encrypted``
     true or false (default false).  A value of another type is rejected,
     never coerced.
-
-    ``memo`` is a dict that the caller creates empty and passes to every
-    call of one stream.  It maps raw 5-tuples already parsed to their
-    flow, so a repeated tuple skips the address, port and protocol
-    parse.  It is used only when every field has its exact JSON type
-    (``true == 1`` and ``80.0 == 80`` in Python), holds only tuples the
-    plain parse accepted and never changes the result.
     """
     obj = _json_object(line, "packet record")
     try:
-        raw = src_ip, src_port, dst_ip, dst_port, proto = (
-            obj["src_ip"], obj["src_port"], obj["dst_ip"], obj["dst_port"],
-            obj["proto"])
-        if (memo is not None and type(src_ip) is str and type(dst_ip) is str
-                and type(src_port) is int and type(dst_port) is int
-                and type(proto) in (str, int)):
-            flow = memo.get(raw) or _remember(memo, raw)
-        else:
+        raw = (obj["src_ip"], obj["src_port"], obj["dst_ip"],
+               obj["dst_port"], obj["proto"])
+        try:
             flow = _packet_flow(*raw)
+        except TypeError:   # a JSON array or object cannot key the cache
+            flow = _packet_flow.__wrapped__(*raw)
         ts = _timestamp(obj["ts"])
     except KeyError as exc:
         raise FlowParseError(f"missing field {exc}") from exc

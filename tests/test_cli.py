@@ -139,6 +139,15 @@ class TestTrainPayload:
                      str(tmp_path / "m.json")]) == 2
         assert "data error: cannot read corpus" in capsys.readouterr().err
 
+    def test_raw_line_separator_in_a_payload_is_one_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        payloads = ["/a\u2028b", "/c\x85d\u2029"]
+        path.write_text("".join(
+            json.dumps({"payload": p, "label": i}, ensure_ascii=False) + "\n"
+            for i, p in enumerate(payloads)), encoding="utf-8")
+        read, y = cli._read_labeled_corpus(path)
+        assert read == payloads and y.tolist() == [0, 1]
+
     def test_malformed_record_is_data_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"payload": "/a"}\n')
@@ -487,6 +496,65 @@ class TestReplay:
         capsys.readouterr()
         assert main(args + ["--strict"]) == 2
         assert f"data error: {reason}" in capsys.readouterr().err
+
+    def test_bad_flow_row_drops_no_later_row(self, payload_model_file,
+                                             tree_model_file, tmp_path,
+                                             capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        rows = flow_csv_rows(np.random.default_rng(7), 6, 5)
+        rows[4] = rows[4].replace(",TCP,", ",ICMP,")
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join(rows) + "\n")
+        args = ["replay", "--packets", str(packets),
+                "--blacklist", str(blacklist),
+                "--payload-model", str(payload_model_file),
+                "--flows", str(flows), "--tree-model", str(tree_model_file),
+                "--report-out", str(tmp_path / "r.json"),
+                "--actions-out", str(tmp_path / "a.csv")]
+        assert main(args) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["encrypted_flows"] == 10
+        assert report["errors"] == ["flow csv: row 4: bad protocol: 'ICMP'"]
+        capsys.readouterr()
+        assert main(args + ["--strict"]) == 2
+        assert ("data error: flow csv: row 4: bad protocol: 'ICMP'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_separator_in_a_payload_is_inspected(
+            self, separator, payload_model_file, tmp_path):
+        # JSON allows these raw in a string; str.splitlines cuts at them
+        packets, blacklist = self._write_streams(tmp_path)
+        payload = f"<script>alert(1){separator}</script>"
+        lines = [json.dumps({"src_ip": f"10.2.0.{i}", "src_port": 40000,
+                             "dst_ip": "10.9.9.9", "dst_port": 80,
+                             "proto": "TCP", "ts": float(i),
+                             "payload": payload}, ensure_ascii=False)
+                 for i in range(2)]
+        packets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--packets", str(packets),
+                     "--blacklist", str(blacklist),
+                     "--payload-model", str(payload_model_file),
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--actions-out", str(tmp_path / "a.csv")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["errors"] == []
+        assert report["packets_seen"] == report["packets_sampled"] == 2
+
+    def test_line_separator_does_not_split_a_blacklist_line(
+            self, payload_model_file, tmp_path):
+        packets, blacklist = self._write_streams(tmp_path)
+        entry = "10.1.0.2\u202810.1.0.0"   # lists neither address
+        blacklist.write_text(entry + "\n", encoding="utf-8")
+        assert main(["replay", "--packets", str(packets),
+                     "--blacklist", str(blacklist),
+                     "--payload-model", str(payload_model_file),
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--actions-out", str(tmp_path / "a.csv")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["errors"] == [
+            f"{blacklist}:1: bad IPv4 address: {entry!r}"]
+        assert report["blacklist_blocks"] == 0
 
 
 class TestSampleTrace:

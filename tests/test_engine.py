@@ -380,9 +380,10 @@ def test_bad_blacklist_lines_are_reported_first(payload_classifier):
 def test_endpoint_memo_is_capped_and_changes_no_output(payload_classifier,
                                                       monkeypatch):
     # each flow sends one packet and gets one reply: two raw 5-tuples a
-    # flow, more than the memo holds
+    # flow, more than the cache holds
     rng = np.random.default_rng(11)
-    n_flows = flows.ENDPOINT_MEMO_CAP // 2 + 300
+    cap = flows._packet_flow.cache_info().maxsize
+    n_flows = cap // 2 + 300
     lines = []
     for i in range(n_flows):
         src = f"10.{i // 250}.{i % 250}.1"
@@ -391,28 +392,28 @@ def test_endpoint_memo_is_capped_and_changes_no_output(payload_classifier,
         lines += [packet_line(src, payload, ts=float(i)),
                   packet_line("10.0.9.9", "/ok", ts=i + 0.5, sport=80,
                               dst=src, dport=40000)]
-    plain_parse = engine_module.packet_from_json_line
-    sizes = []
+    parse = engine_module.packet_from_json_line
+    calls = []
 
-    def memoized(line, memo):
-        record = plain_parse(line, memo)
-        sizes.append(len(memo))
-        return record
+    def counted(line):
+        calls.append(line)
+        return parse(line)
 
-    def replay(parse):
-        monkeypatch.setattr(engine_module, "packet_from_json_line", parse)
+    def replay():
         report = make_engine(payload_classifier, ["10.1.0.0/24"]
                              ).run_replay(lines)
         actions = io.StringIO()
         write_actions_csv(report, actions)
         return json.dumps(report.to_dict()), actions.getvalue()
 
-    with_memo = replay(memoized)
-    assert len(sizes) == len(lines)
-    assert max(sizes) <= flows.ENDPOINT_MEMO_CAP
-    assert max(sizes) >= flows.ENDPOINT_MEMO_CAP - 1 > sizes[-1]   # cleared
-    assert with_memo == replay(lambda line, memo: plain_parse(line))
-    report = json.loads(with_memo[0])
+    flows._packet_flow.cache_clear()
+    monkeypatch.setattr(engine_module, "packet_from_json_line", counted)
+    cached = replay()
+    assert calls == lines   # once a line, through the traced name
+    assert flows._packet_flow.cache_info().currsize == cap   # evicted
+    monkeypatch.setattr(flows, "_packet_flow", flows._packet_flow.__wrapped__)
+    assert cached == replay()
+    report = json.loads(cached[0])
     assert report["blacklist_blocks"] and report["classifier_blocks"]
 
 

@@ -231,11 +231,12 @@ def test_payload_must_be_a_string_or_absent(value):
 @pytest.mark.parametrize("value", ["6", " 17 ", "06", "47"])
 def test_protocol_code_must_be_a_json_integer(value):
     # the flow CSV writes a code as digit text; a packet line has integers
-    for memo in (None, {}):
+    flows._packet_flow.cache_clear()
+    for _ in range(2):   # a rejected tuple is never cached
         with pytest.raises(FlowParseError, match="protocol code must be a "
                                                  "JSON integer"):
-            packet_from_json_line(packet_json(proto=value), memo)
-        assert not memo
+            packet_from_json_line(packet_json(proto=value))
+        assert flows._packet_flow.cache_info().currsize == 0
     assert packet_from_json_line(packet_json(proto=6)).flow.protocol.kind \
         == "TCP"
     assert packet_from_json_line(packet_json(proto=" udp ")).flow.protocol \
@@ -253,39 +254,64 @@ def raw_packet_line(src_ip, src_port, dst_ip, dst_port, proto, ts=1.0,
     return json.dumps({k: v for k, v in fields.items() if v is not MISSING})
 
 
-def outcome(line, memo=None):
+def outcome(line):
     """What a parse returns, with its repr so that ``true`` and ``1``
     differ, or the reason it rejects the line."""
     try:
-        record = packet_from_json_line(line, memo)
+        record = packet_from_json_line(line)
     except FlowParseError as exc:
         return "rejected", str(exc)
     return record, repr(record)
 
 
-def assert_memo_agrees(lines, cap=flows.ENDPOINT_MEMO_CAP):
-    memo = {}
-    with mock.patch.object(flows, "ENDPOINT_MEMO_CAP", cap):
-        for line in lines:
-            assert outcome(line, memo) == outcome(line)
-            assert len(memo) <= cap
-            for raw, (key, direction) in memo.items():
-                record = packet_from_json_line(raw_packet_line(*raw))
-                assert (record.flow, record.direction) == (key, direction)
+def uncached_outcome(line):
+    with mock.patch.object(flows, "_packet_flow",
+                           flows._packet_flow.__wrapped__):
+        return outcome(line)
+
+
+def assert_cache_agrees(lines):
+    flows._packet_flow.cache_clear()
+    for line in lines:
+        assert outcome(line) == uncached_outcome(line)
+    info = flows._packet_flow.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 # each pool holds values that compare or hash equal in Python but are
-# different JSON (1 and true, 80 and 80.0, 6 and "TCP") and addresses
-# that parse equal but are different text
+# different JSON (1 and true, 80 and 80.0, 6 and "TCP"), addresses that
+# parse equal but are different text, and arrays and objects, which
+# cannot key the cache
 MEMO_IPS = ["10.0.0.1", " 10.0.0.1", "10.0.0.1 ", "10.0.0.2", "10.0.0.999",
-            "::1", 1, None, MISSING]
+            "::1", 1, None, ["10.0.0.1"], {"ip": "10.0.0.1"}, MISSING]
 MEMO_PORTS = [0, 1, 80, 65535, 65536, -1, True, False, 80.0, 1.0, "80",
-              None, MISSING]
+              [80], {}, None, MISSING]
 MEMO_PROTOS = ["TCP", "tcp", " udp ", 0, 1, 6, 17, 300, True, False, 6.0,
-               "6", " 17 ", "ICMP", None, MISSING]
-memo_tuples = st.tuples(st.sampled_from(MEMO_IPS), st.sampled_from(MEMO_PORTS),
-                        st.sampled_from(MEMO_IPS), st.sampled_from(MEMO_PORTS),
-                        st.sampled_from(MEMO_PROTOS))
+               "6", " 17 ", "ICMP", ["TCP"], {"p": 6}, None, MISSING]
+
+
+def five_tuples(ips, ports, protos):
+    return st.tuples(st.sampled_from(ips), st.sampled_from(ports),
+                     st.sampled_from(ips), st.sampled_from(ports),
+                     st.sampled_from(protos))
+
+
+# few tuples drawn from the pools above parse, so half are drawn from
+# values that do, for the cache to hold and their twins to miss
+memo_tuples = five_tuples(MEMO_IPS, MEMO_PORTS, MEMO_PROTOS) | five_tuples(
+    MEMO_IPS[:4], MEMO_PORTS[:4], MEMO_PROTOS[:7])
+
+
+def twin(value):
+    """A value that Python finds equal to ``value`` but JSON writes
+    differently (1 and true, 80 and 80.0), or ``value`` itself."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return bool(value) if value in (0, 1) else float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value
 
 
 @st.composite
@@ -294,13 +320,16 @@ def memo_streams(draw):
     type-swapped and bad-``ts`` repeats."""
     tuples = draw(st.lists(memo_tuples, min_size=1, max_size=12))
     picks = draw(st.lists(st.tuples(st.integers(0, len(tuples) - 1),
-                                    st.booleans(),
+                                    st.booleans(), st.booleans(),
                                     st.sampled_from([1.0, 2, -1, "1"]),
                                     st.sampled_from(["/a", None])),
                           max_size=40))
     lines = []
-    for index, reply, ts, payload in picks:
-        src_ip, src_port, dst_ip, dst_port, proto = tuples[index]
+    for index, reply, swap, ts, payload in picks:
+        fields = tuples[index]
+        if swap:
+            fields = tuple(map(twin, fields))
+        src_ip, src_port, dst_ip, dst_port, proto = fields
         if reply:
             src_ip, src_port, dst_ip, dst_port = (dst_ip, dst_port, src_ip,
                                                   src_port)
@@ -310,30 +339,40 @@ def memo_streams(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(memo_streams(), st.sampled_from([2, 3, 5, 4096]))
-def test_memoized_parse_is_the_plain_parse(lines, cap):
-    assert_memo_agrees(lines, cap)
+@given(memo_streams())
+def test_memoized_parse_is_the_plain_parse(lines):
+    assert_cache_agrees(lines)
 
 
 def test_memoized_parse_type_swaps_and_equal_endpoints():
     flow = ("10.0.0.1", 1, "10.0.0.2", 80, "TCP")
     lines = [raw_packet_line(*flow)]
     for swap in [(0, " 10.0.0.1"), (1, True), (1, 1.0), (3, 80.0),
-                 (4, 6), (4, 6.0), (4, "6"), (4, 1), (4, True)]:
+                 (4, 6), (4, 6.0), (4, "6"), (4, 1), (4, True),
+                 (0, ["10.0.0.1"]), (3, [80]), (4, {"p": "TCP"})]:
         changed = list(flow)
         changed[swap[0]] = swap[1]
         lines += [raw_packet_line(*changed), raw_packet_line(*flow)]
-    # endpoints that parse equal: forward in both orders, from the first
-    # line and from the memo's entry for its reply
+    # endpoints that parse equal are forward in both orders
     lines += [raw_packet_line(" 10.0.0.3", 9, "10.0.0.3", 9, "UDP"),
               raw_packet_line("10.0.0.3", 9, " 10.0.0.3", 9, "UDP"),
               raw_packet_line("10.0.0.4", 9, "10.0.0.4", 9, 17),
               raw_packet_line("10.0.0.4", 9, "10.0.0.4", 9, 17)]
-    assert_memo_agrees(lines)
-    assert_memo_agrees(lines, cap=2)
-    assert_memo_agrees(lines[::-1])
+    assert_cache_agrees(lines)
+    assert_cache_agrees(lines[::-1])
     for line in lines[-4:]:
         assert packet_from_json_line(line).direction is Direction.FORWARD
+
+
+def test_lines_of_one_direction_share_one_flow_key():
+    flows._packet_flow.cache_clear()
+    first, again = (packet_from_json_line(raw_packet_line(
+        "10.0.0.1", 1, "10.0.0.2", 80, "TCP", ts)) for ts in (1.0, 2.0))
+    reply = packet_from_json_line(raw_packet_line("10.0.0.2", 80, "10.0.0.1",
+                                                  1, "TCP"))
+    assert first.flow is again.flow
+    assert reply.flow == first.flow and reply.direction is Direction.REVERSE
+    assert flows._packet_flow.cache_info().currsize == 2
 
 
 json_values = st.recursive(
