@@ -8,12 +8,13 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +118,8 @@ OPTIONS = (
            "block on a window's hit count, not on the first hit", _REPLAY),
     Option("block-hit-count", int, "[1, inf)", 1,
            "hits in a window that block under --count-blocking", _REPLAY),
+    Option("reorder-window", int, "[0, inf)", 4096,
+           "packets held back to restore timestamp order", _REPLAY),
 )
 
 
@@ -125,24 +128,21 @@ def _load_config_file(path: Path) -> dict:
     range-checked by its option; a key may belong to any command."""
     options = {opt.dest: opt for opt in OPTIONS}
     values = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config file: {exc}") from exc
-    for line_no, raw in enumerate(_split_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = (part.strip() for part in line.partition("="))
-        key = key.replace("-", "_")
-        if key not in options:
-            raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-        try:
-            values[key] = options[key].parse(value)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
+    with _read_lines(path, "config file") as lines:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            if key not in options:
+                raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+            try:
+                values[key] = options[key].parse(value)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{path}:{line_no}: {key}: {exc}") from exc
     return values
 
 
@@ -159,34 +159,47 @@ def _sampler_config(args) -> SamplerConfig:
                          history_len=args.history)
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text`` read with universal newlines, cut at "\n"
-    only: ``str.splitlines`` also cuts at U+0085, U+2028 and U+2029,
-    which a JSON string may hold raw."""
-    lines = text.split("\n")
-    if lines[-1] == "":   # the newline that ends the last line
-        lines.pop()
-    return lines
+def _cannot_read(what: str, path: Path, exc: Exception) -> DataError:
+    reason = getattr(exc, "strerror", None) or exc
+    return DataError(f"cannot read {what} {path}: {reason}")
 
 
-def _read_lines(path: Path, what: str) -> list[str]:
+def _lines(fp, what: str, path: Path) -> Iterator[str]:
     try:
-        return _split_lines(path.read_text(encoding="utf-8"))
+        for line in fp:
+            yield line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what}: {exc}") from exc
+        raise _cannot_read(what, path, exc) from exc
+
+
+@contextlib.contextmanager
+def _read_lines(path: Path, what: str) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 text file, read one at a time with universal
+    newlines: cut at "\n", "\r\n" or "\r" only, never at U+0085, U+2028
+    or U+2029, which a JSON string may hold raw (``str.splitlines`` cuts
+    there).  The file opens on entry, so a file that cannot be opened is
+    a data error before any line is read; one that is not UTF-8 is a data
+    error when its bad bytes are reached."""
+    try:
+        fp = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_read(what, path, exc) from exc
+    with fp:
+        yield _lines(fp, what, path)
 
 
 def _read_labeled_corpus(path: Path):
     payloads, labels = [], []
-    for line_no, line in enumerate(_read_lines(path, "corpus"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = labeled_payload_from_json_line(line)
-        except FlowParseError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        payloads.append(record.payload)
-        labels.append(record.label)
+    with _read_lines(path, "corpus") as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = labeled_payload_from_json_line(line)
+            except FlowParseError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from exc
+            payloads.append(record.payload)
+            labels.append(record.label)
     if not payloads:
         raise DataError(f"{path}: empty corpus")
     return payloads, np.array(labels, dtype=int)
@@ -194,13 +207,14 @@ def _read_labeled_corpus(path: Path):
 
 def _read_labeled_flows(path: Path):
     X, y = [], []
-    for record in read_flow_csv(_read_lines(path, "flow csv")):
-        if isinstance(record, FlowRowError):
-            raise DataError(f"{path}: {record}") from record
-        if record.label is None:
-            raise DataError(f"{path}: unlabeled row in training data")
-        X.append(encode(record))
-        y.append(record.label)
+    with _read_lines(path, "flow csv") as lines:
+        for record in read_flow_csv(lines):
+            if isinstance(record, FlowRowError):
+                raise DataError(f"{path}: {record}") from record
+            if record.label is None:
+                raise DataError(f"{path}: unlabeled row in training data")
+            X.append(encode(record))
+            y.append(record.label)
     if not X:
         raise DataError(f"{path}: no flow rows")
     return np.array(X), np.array(y, dtype=int)
@@ -310,24 +324,30 @@ def cmd_replay(args) -> int:
     if args.tree_model and not args.flows:
         raise UsageError("--tree-model classifies the flows of --flows; "
                          "give both or neither")
-    blacklist = load_blacklist(_read_lines(args.blacklist, "blacklist"),
-                               source_name=str(args.blacklist))
-    packet_lines = _read_lines(args.packets, "packet stream")
-    flow_lines = _read_lines(args.flows, "flow csv") if args.flows else None
-    featurizer, payload_model = persistence.load_payload_model(
-        args.payload_model)
-    tree_model = (persistence.load_tree_model(args.tree_model)
-                  if args.tree_model else None)
-    config = EngineConfig(sampler=_sampler_config(args),
-                          block_threshold=args.threshold,
-                          block_on_first_hit=not args.count_blocking,
-                          window_hit_block_count=args.block_hit_count)
-    engine = Engine(blacklist, featurizer, payload_model, tree_model, config)
-    try:
-        report = engine.run_replay(packet_lines, flow_lines,
-                                   strict=args.strict)
-    except ReplayDataError as exc:
-        raise DataError(str(exc)) from exc
+    with _read_lines(args.blacklist, "blacklist") as lines:
+        blacklist = load_blacklist(lines, source_name=str(args.blacklist))
+    # the packet stream and the flow CSV are read as the replay goes
+    with contextlib.ExitStack() as inputs:
+        packet_lines = inputs.enter_context(
+            _read_lines(args.packets, "packet stream"))
+        flow_lines = (inputs.enter_context(_read_lines(args.flows, "flow csv"))
+                      if args.flows else None)
+        featurizer, payload_model = persistence.load_payload_model(
+            args.payload_model)
+        tree_model = (persistence.load_tree_model(args.tree_model)
+                      if args.tree_model else None)
+        config = EngineConfig(sampler=_sampler_config(args),
+                              block_threshold=args.threshold,
+                              block_on_first_hit=not args.count_blocking,
+                              window_hit_block_count=args.block_hit_count,
+                              reorder_window=args.reorder_window)
+        engine = Engine(blacklist, featurizer, payload_model, tree_model,
+                        config)
+        try:
+            report = engine.run_replay(packet_lines, flow_lines,
+                                       strict=args.strict)
+        except ReplayDataError as exc:
+            raise DataError(str(exc)) from exc
     with open(args.report_out, "w", encoding="utf-8") as fp:
         json.dump(report.to_dict(), fp, indent=1)
         fp.write("\n")
@@ -344,15 +364,15 @@ def cmd_replay(args) -> int:
 
 def cmd_sample_trace(args) -> int:
     deltas = []
-    lines = _read_lines(args.input, "delta csv")
-    for line_no, line in enumerate(lines, start=1):
-        cell = line.split(",", 1)[0].strip()
-        if not cell or (line_no == 1 and cell.lower() == "delta"):
-            continue
-        try:
-            deltas.append(parse_uint(cell, "hit count"))
-        except ValueError as exc:
-            raise DataError(f"{args.input}:{line_no}: {exc}") from exc
+    with _read_lines(args.input, "delta csv") as lines:
+        for line_no, line in enumerate(lines, start=1):
+            cell = line.split(",", 1)[0].strip()
+            if not cell or (line_no == 1 and cell.lower() == "delta"):
+                continue
+            try:
+                deltas.append(parse_uint(cell, "hit count"))
+            except ValueError as exc:
+                raise DataError(f"{args.input}:{line_no}: {exc}") from exc
     rows = trace(_sampler_config(args), deltas)
     out = open(args.output, "w", encoding="utf-8", newline="") \
         if args.output else sys.stdout

@@ -7,6 +7,7 @@ metadata only: TLS version, TTL, duration, ports and packet rate.
 from __future__ import annotations
 
 import csv
+import sys
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -95,6 +96,9 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
         duration = parse_decimal(row["duration"], "duration")
         fwd = parse_uint(row["fwd_pkts"], "packet count fwd_pkts")
         bwd = parse_uint(row["bwd_pkts"], "packet count bwd_pkts")
+        if fwd + bwd > sys.float_info.max:   # the rate needs a float
+            raise FlowParseError("packet count fwd_pkts + bwd_pkts is too "
+                                 "large for a float")
         tls = parse_tls_version(row["tls_version"])
     except ValueError as exc:
         raise FlowRowError(row_no, str(exc)) from exc
@@ -108,22 +112,65 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
                                dst_port, label)
 
 
+class _OneLine:
+    """A source of one line at a time for ``csv.reader``, which starts
+    each record afresh and reads its source until the record ends: a
+    quote a line leaves open meets the end of this source, never the
+    next line.  One reader for the file parses as fast as one reader
+    over all its lines; a reader per line took twice as long."""
+    __slots__ = ("line",)
+
+    def __init__(self):
+        self.line = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line, self.line = self.line, None
+        if line is None:
+            raise StopIteration
+        return line
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str] | csv.Error]:
+    """Each non-blank line's fields, or the ``csv.Error`` that rejects
+    it.  A line is one record: a quote it leaves open is an error, never
+    a field that runs on into the next lines."""
+    source = _OneLine()
+    reader = csv.reader(source, strict=True)
+    for line in lines:
+        source.line = line
+        try:
+            row = next(reader)
+        except csv.Error as exc:
+            yield exc
+            continue
+        if row:
+            yield row
+
+
 def read_flow_csv(lines: Iterable[str]
                   ) -> Iterator[EncryptedFlowRecord | FlowRowError]:
     """Parse a header-declared flow CSV: each data row's record, or the
     FlowRowError that rejects it, in row order (header = row 0, blank
-    lines not counted).  A header that lacks a required column yields
-    its error as row 0 and nothing after it."""
-    rows = csv.reader(lines)
+    lines not counted).  A header that lacks a required column, or is
+    not CSV, yields its error as row 0 and nothing after it."""
+    rows = _csv_rows(lines)
     header = next(rows, None)
     if header is None:
+        return
+    if isinstance(header, csv.Error):
+        yield FlowRowError(0, f"bad CSV header: {header}")
         return
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         yield FlowRowError(0, f"header missing columns: {', '.join(missing)}")
         return
-    for row_no, row in enumerate(filter(None, rows), start=1):
+    for row_no, row in enumerate(rows, start=1):
         try:
+            if isinstance(row, csv.Error):
+                raise FlowRowError(row_no, f"bad CSV: {row}")
             if len(row) != len(header):
                 raise FlowRowError(row_no, f"{len(row)} fields where the "
                                            f"header has {len(header)}")

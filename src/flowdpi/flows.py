@@ -223,7 +223,9 @@ def _json_value(line: str) -> Any:
 def _json_object(line: str, what: str) -> dict:
     try:
         obj = _json_value(line)
-    except ValueError as exc:   # also a number past Python's digit limit
+    # ValueError: also a number past Python's digit limit; RecursionError:
+    # a value nested deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FlowParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FlowParseError(f"{what} must be a JSON object")

@@ -179,7 +179,8 @@ def _read_json(path) -> Any:
     except OSError as exc:
         raise ModelReadError(f"{path}: cannot read model file: "
                              f"{exc.strerror or exc}") from exc
-    except ValueError as exc:   # bad JSON, bad UTF-8, a 5,000-digit number
+    # bad JSON, bad UTF-8, a 5,000-digit number, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: bad JSON: {exc}") from exc
 
 

@@ -12,6 +12,10 @@ a dense matrix, ``loss_grad`` is the dense (BLAS) loss and gradient, and
 ``train`` is the gradient-descent loop that built a ``LogisticModel``
 and checked its inputs on every line-search trial.
 
+The replay order: ``sorted_replay`` is the replay that parsed every
+packet line and processed the packets in a stable sort by timestamp,
+and ``reorder`` is the reorder window as a sorted list.
+
 The summation order that defines a score and a gradient, in plain
 Python: ``segment_sum`` is ``S``, ``margins`` and ``gradient`` apply it
 to the rows and columns of a ``FeatureBatch``, and ``sparse_loss_grad``
@@ -23,6 +27,7 @@ within 1e-12 of the dense path.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from flowdpi import logistic
+from flowdpi import flows, logistic
 from flowdpi.textfeat import (FeatureBatch, Featurizer, NormalizationParams,
                               TfIdfModel, trigrams)
 
@@ -309,3 +314,41 @@ def train(X, y, hyper: logistic.LogisticHyper = logistic.LogisticHyper(),
         model, loss, grad_w, grad_b = trial, new_loss, new_gw, new_gb
         info.losses.append(loss)
     return model, info
+
+
+def sorted_replay(engine, packet_lines):
+    """The packet replay before the reorder window: report the blacklist
+    errors and every malformed packet line, then process the packets in
+    a stable sort by timestamp."""
+    engine.report.errors.extend(engine.blacklist.errors)
+    packets = []
+    for line_no, line in enumerate(packet_lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            packets.append(flows.packet_from_json_line(line))
+        except flows.FlowParseError as exc:
+            engine.report.errors.append(f"packet line {line_no}: {exc}")
+    packets.sort(key=lambda packet: packet.timestamp)
+    for packet in packets:
+        engine.process_packet(packet)
+    return engine.report
+
+
+def reorder(timestamps, window: int):
+    """The order in which a reorder window of ``window`` packets releases
+    arrivals with these timestamps, as arrival indices, and the indices
+    of the late ones: a buffer kept sorted by (timestamp, arrival) that
+    releases its first entry once it holds more than ``window``."""
+    buffer, order, late = [], [], []
+    released = -math.inf
+    for i, ts in enumerate(timestamps):
+        if ts < released:
+            order.append(i)
+            late.append(i)
+            continue
+        bisect.insort(buffer, (ts, i))
+        if len(buffer) > window:
+            released, first = buffer.pop(0)
+            order.append(first)
+    return order + [i for _, i in buffer], late

@@ -139,6 +139,16 @@ class TestTrainPayload:
                      str(tmp_path / "m.json")]) == 2
         assert "data error: cannot read corpus" in capsys.readouterr().err
 
+    def test_corpus_nested_past_the_recursion_limit_is_data_error(
+            self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"payload": "/a", "label": 0}\n'
+                        '{"payload": ' + "[" * 200_000 + "\n")
+        assert main(["train-payload", str(path),
+                     str(tmp_path / "m.json")]) == 2
+        assert (f"data error: {path}:2: bad JSON: maximum recursion depth"
+                in capsys.readouterr().err)
+
     def test_raw_line_separator_in_a_payload_is_one_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         payloads = ["/a\u2028b", "/c\x85d\u2029"]
@@ -211,6 +221,29 @@ class TestTrainEncrypted:
         assert (f"data error: {path}: row 4: 12 fields where the header has "
                 f"11") in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command", ["train-encrypted", "eval"])
+    @pytest.mark.parametrize("column,value,reason", [
+        (5, "x" * 200_000, "bad CSV: field larger than field limit (131072)"),
+        (5, '"TLS1.2', "bad CSV: unexpected end of data"),
+        (8, "1" + "0" * 400,
+         "packet count fwd_pkts + bwd_pkts is too large for a float"),
+    ], ids=["huge-field", "stray-quote", "huge-count"])
+    def test_row_that_cannot_be_read_is_data_error(
+            self, command, column, value, reason, tree_model_file, tmp_path,
+            capsys):
+        rows = flow_csv_rows(np.random.default_rng(0), 5, 5)
+        fields = rows[3].split(",")
+        fields[column] = value
+        rows[3] = ",".join(fields)
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(rows) + "\n")
+        args = {"train-encrypted": [path, tmp_path / "t.json"],
+                "eval": [tree_model_file, path,
+                         "--report-out", tmp_path / "r.json"]}[command]
+        assert main([command, *map(str, args)]) == 2
+        assert (f"data error: {path}: row 3: {reason}"
+                in capsys.readouterr().err)
 
 class TestEval:
     def test_payload_model_report_and_curves(self, payload_model_file,
@@ -376,6 +409,18 @@ class TestEval:
                      "--report-out", str(tmp_path / "r.json")]) == 3
         assert f"{model}: bad JSON" in capsys.readouterr().err
 
+    def test_model_nested_past_the_recursion_limit_is_model_error(
+            self, corpus_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"schema": ' + "[" * 200_000)
+        with pytest.raises(persistence.ModelFormatError,
+                           match="bad JSON: maximum recursion depth"):
+            persistence.peek_schema(model)
+        assert main(["eval", str(model), str(corpus_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        assert (f"{model}: bad JSON: maximum recursion depth"
+                in capsys.readouterr().err)
+
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nonsense/9"}')
@@ -400,6 +445,27 @@ class TestReplay:
         blacklist = tmp_path / "blacklist.txt"
         blacklist.write_text("10.1.0.0/32\n")
         return packets, blacklist
+
+    def _write_in_order(self, tmp_path):
+        """``_write_streams`` in timestamp order: the flows interleave."""
+        packets, blacklist = self._write_streams(tmp_path)
+        lines = sorted(packets.read_text().splitlines(),
+                       key=lambda line: json.loads(line)["ts"])
+        packets.write_text("\n".join(lines) + "\n")
+        return packets, blacklist, lines
+
+    @staticmethod
+    def _args(packets, blacklist, payload_model, tmp_path, *extra):
+        return ["replay", "--packets", str(packets),
+                "--blacklist", str(blacklist),
+                "--payload-model", str(payload_model),
+                "--report-out", str(tmp_path / "r.json"),
+                "--actions-out", str(tmp_path / "a.csv"), *map(str, extra)]
+
+    @staticmethod
+    def _outputs(tmp_path):
+        return ((tmp_path / "r.json").read_bytes(),
+                (tmp_path / "a.csv").read_bytes())
 
     def test_end_to_end(self, payload_model_file, tree_model_file, tmp_path,
                         flows_file):
@@ -556,6 +622,96 @@ class TestReplay:
             f"{blacklist}:1: bad IPv4 address: {entry!r}"]
         assert report["blacklist_blocks"] == 0
 
+    def test_reorder_window_restores_timestamp_order(
+            self, payload_model_file, tmp_path):
+        packets, blacklist, lines = self._write_in_order(tmp_path)
+        args = self._args(packets, blacklist, payload_model_file, tmp_path)
+        assert main(args) == 0
+        in_order = self._outputs(tmp_path)
+        assert main(args + ["--reorder-window", "0"]) == 0
+        assert self._outputs(tmp_path) == in_order
+        # swap neighbours: each packet arrives at most one place late
+        lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
+        packets.write_text("\n".join(lines) + "\n")
+        assert main(args + ["--reorder-window", "1"]) == 0
+        assert self._outputs(tmp_path) == in_order
+
+    def test_late_packet_is_reported_or_fatal_under_strict(
+            self, payload_model_file, tmp_path, capsys):
+        packets, blacklist, lines = self._write_in_order(tmp_path)
+        lines[0], lines[3] = lines[3], lines[0]   # ts 1.0 before the 0.0s
+        packets.write_text("\n".join(lines) + "\n")
+        args = self._args(packets, blacklist, payload_model_file, tmp_path,
+                          "--reorder-window", "0")
+        assert main(args) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        late = [f"packet line {n}: late: ts 0.0 came after ts 1.0 left the "
+                f"0-packet reorder window; inspected in arrival order"
+                for n in (2, 3, 4)]
+        assert report["errors"] == late
+        assert report["packets_seen"] == len(lines)
+        capsys.readouterr()
+        assert main(args + ["--strict"]) == 2
+        assert f"data error: {late[0]}\n" in capsys.readouterr().err
+
+    def test_packet_nested_past_the_recursion_limit_is_rejected(
+            self, payload_model_file, tmp_path):
+        packets, blacklist = self._write_streams(tmp_path)
+        good = packets.read_text().splitlines()[0]
+        packets.write_text('{"ts": 0, "payload": ' + "[" * 200_000 + "\n"
+                           + good + "\n")
+        args = self._args(packets, blacklist, payload_model_file, tmp_path)
+        assert main(args) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["packets_seen"] == 1   # the line after it is inspected
+        [error] = report["errors"]
+        assert error.startswith("packet line 1: bad JSON: maximum recursion")
+        assert main(args + ["--strict"]) == 2
+
+    def test_model_nested_past_the_recursion_limit_is_model_error(
+            self, tmp_path, capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text("[" * 200_000)
+        assert main(self._args(packets, blacklist, model, tmp_path)) == 3
+        assert (f"model/config error: {model}: bad JSON: maximum recursion"
+                in capsys.readouterr().err)
+
+    def test_packet_stream_that_is_not_utf8_is_data_error(
+            self, payload_model_file, tmp_path, capsys):
+        packets, blacklist = self._write_streams(tmp_path)
+        packets.write_bytes(packets.read_bytes() + b'{"payload": "\xff"}\n')
+        assert main(self._args(packets, blacklist, payload_model_file,
+                               tmp_path)) == 2
+        assert (f"data error: cannot read packet stream {packets}: 'utf-8' "
+                f"codec can't decode" in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("column,value,reason", [
+        (5, '"TLS1.2', "bad CSV: unexpected end of data"),
+        (5, "x" * 200_000, "bad CSV: field larger than field limit (131072)"),
+        (8, "1" + "0" * 400,
+         "packet count fwd_pkts + bwd_pkts is too large for a float"),
+    ], ids=["stray-quote", "huge-field", "huge-count"])
+    def test_flow_row_that_cannot_be_read_drops_no_later_row(
+            self, column, value, reason, payload_model_file, tree_model_file,
+            tmp_path):
+        # a stray quote used to swallow every later row, and a huge field
+        # or count to end the replay with a traceback
+        packets, blacklist = self._write_streams(tmp_path)
+        rows = flow_csv_rows(np.random.default_rng(7), 10, 0)
+        fields = rows[2].split(",")
+        fields[column] = value
+        rows[2] = ",".join(fields)
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join(rows) + "\n")
+        assert main(self._args(packets, blacklist, payload_model_file,
+                               tmp_path, "--flows", flows,
+                               "--tree-model", tree_model_file)) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["errors"] == [f"flow csv: row 2: {reason}"]
+        assert report["encrypted_flows"] == 9
+
 
 class TestSampleTrace:
     def test_matches_library_trace(self, tmp_path, capsys):
@@ -631,13 +787,14 @@ READS = {
     "train-encrypted": {"seed", "k-folds"},
     "eval": {"threshold"},
     "replay": {"m", "w-min", "w-max", "history", "threshold", "strict",
-               "count-blocking", "block-hit-count"},
+               "count-blocking", "block-hit-count", "reorder-window"},
     "sample-trace": {"m", "w-min", "w-max", "history"},
 }
 SWITCHES = {"strict", "count-blocking"}
 IN_RANGE = {"seed": "3", "lambda": "0.01", "lr": "0.5", "max-iters": "50",
             "k-folds": "3", "m": "50", "w-min": "4", "w-max": "10",
-            "history": "5", "threshold": "0.5", "block-hit-count": "2"}
+            "history": "5", "threshold": "0.5", "block-hit-count": "2",
+            "reorder-window": "0"}
 
 
 def required_args(command, tmp_path):
@@ -696,6 +853,36 @@ class TestUsageAndConfig:
         inp.write_text("0\n")
         assert main(["sample-trace", str(inp),
                      "--config", str(tmp_path / "absent.ini")]) == 2
+
+    def test_config_file_that_is_not_utf8_is_data_error(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "conf.ini"
+        cfg.write_bytes(b"seed = 1\xff\n")
+        with pytest.raises(cli.DataError, match=f"config file {cfg}: 'utf-8'"):
+            cli._load_config_file(cfg)
+        inp = tmp_path / "deltas.csv"
+        inp.write_text("0\n")
+        assert main(["sample-trace", str(inp), "--config", str(cfg)]) == 2
+        assert (f"data error: cannot read config file {cfg}: 'utf-8' codec "
+                f"can't decode" in capsys.readouterr().err)
+
+    def test_lines_are_read_lazily_and_bad_utf8_names_the_file(
+            self, tmp_path):
+        path = tmp_path / "packets.jsonl"
+        path.write_bytes("a\r\nb\rc\u2028d\n".encode() + b"x" * 10_000
+                         + b"\n\xff\n")
+        with cli._read_lines(path, "packet stream") as lines:
+            assert [next(lines), next(lines)] == ["a", "b"]
+            assert next(lines) == "c\u2028d"
+            with pytest.raises(cli.DataError, match=(
+                    f"cannot read packet stream {path}: 'utf-8' codec")):
+                list(lines)
+
+    def test_missing_file_message_names_the_file(self, tmp_path, capsys):
+        inp = tmp_path / "absent.csv"
+        assert main(["sample-trace", str(inp)]) == 2
+        assert (f"data error: cannot read delta csv {inp}: No such file"
+                in capsys.readouterr().err)
 
     def test_invalid_sampler_bounds_is_model_error(self, tmp_path):
         inp = tmp_path / "deltas.csv"
@@ -756,8 +943,8 @@ def test_option_table_gives_each_command_what_it_reads():
     assert {command: {opt.flag for opt in cli.OPTIONS
                       if command in opt.commands}
             for command in READS} == READS
-    # with --config on every command: 26 settable (command, option) pairs
-    assert sum(len(flags) + 1 for flags in READS.values()) == 26
+    # with --config on every command: 27 settable (command, option) pairs
+    assert sum(len(flags) + 1 for flags in READS.values()) == 27
 
 
 @pytest.mark.parametrize("command", sorted(READS))
@@ -779,7 +966,8 @@ def test_command_takes_only_the_options_it_reads(command, flag, tmp_path,
 @pytest.mark.parametrize("flag,value", [
     ("lr", "0"), ("max-iters", "0"), ("k-folds", "1"), ("threshold", "0"),
     ("threshold", "1"), ("threshold", "nan"), ("lambda", "inf"),
-    ("history", "2"), ("block-hit-count", "0"), ("seed", "-1")])
+    ("history", "2"), ("block-hit-count", "0"), ("seed", "-1"),
+    ("reorder-window", "-1")])
 def test_out_of_range_value_is_usage_error(flag, value, source, tmp_path,
                                            capsys):
     command = next(c for c, flags in READS.items() if flag in flags)

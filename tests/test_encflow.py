@@ -175,3 +175,49 @@ def test_thousand_row_file_no_silent_drops():
     assert len(records) == 1000
     for record in records:
         assert np.isfinite(encode(record)).all()
+
+
+def test_stray_quote_rejects_its_row_only():
+    # csv.reader over the whole file used to read rows 3-10 into the
+    # quoted field that row 2 opened
+    lines = flow_csv_rows(np.random.default_rng(2), 10, 0)
+    lines[2] = lines[2].replace(",TLS1.2,", ',"TLS1.2,')
+    records = list(read_flow_csv(lines))
+    assert len(records) == 10
+    assert str(records[1]) == "row 2: bad CSV: unexpected end of data"
+    assert all(isinstance(r, EncryptedFlowRecord)
+               for r in records[:1] + records[2:])
+
+
+def test_quote_inside_a_field_is_rejected_not_dropped():
+    header = ",".join(GOOD_ROW)
+    bad = ",".join(GOOD_ROW.values()).replace(",TCP,", ',"TC"P,')
+    [error] = read_flow_csv([header, bad])
+    assert str(error) == "row 1: bad CSV: ',' expected after '\"'"
+
+
+def test_field_past_the_csv_limit_is_a_row_error():
+    header = ",".join(GOOD_ROW)
+    good = ",".join(GOOD_ROW.values())
+    huge = good.replace(",TCP,", "," + "x" * 200_000 + ",")
+    first, error, after = read_flow_csv([header, good, huge, good])
+    assert first == after
+    assert str(error) == ("row 2: bad CSV: field larger than field limit "
+                          "(131072)")
+
+
+def test_bad_csv_header_is_row_0():
+    [error] = read_flow_csv(['src_ip,"src_port', ",".join(GOOD_ROW.values())])
+    assert str(error) == "row 0: bad CSV header: unexpected end of data"
+
+
+@pytest.mark.parametrize("fwd,bwd", [("1" + "0" * 400, "1"),
+                                     ("9" * 308, "9" * 308)],
+                         ids=["one-count", "the-sum"])
+def test_packet_count_too_large_for_a_float_is_rejected(fwd, bwd):
+    with pytest.raises(FlowRowError, match="row 3: packet count fwd_pkts "
+                                           r"\+ bwd_pkts is too large"):
+        parse_flow_row(dict(GOOD_ROW, fwd_pkts=fwd, bwd_pkts=bwd), 3)
+    # a count that a float holds is read and encoded
+    big = str(int(1e300))
+    assert encode(parse_flow_row(dict(GOOD_ROW, fwd_pkts=big), 1))[7] > 0

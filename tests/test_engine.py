@@ -16,6 +16,7 @@ from flowdpi.engine import (Engine, EngineConfig, EngineConfigError,
                             ReplayDataError, write_actions_csv)
 from flowdpi.flows import (VerdictKind, VerdictReason, packet_from_json_line,
                            packet_to_json_line)
+from flowdpi.sampler import SamplerConfig
 from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
                               count_payload, fit_featurizer, stack_dense,
                               tokenize, trigrams)
@@ -337,6 +338,150 @@ def test_replay_rejects_nan_timestamp_and_stays_ordered(payload_classifier):
     assert [v.timestamp for v in report.actions] == [1.0, 2.0, 3.0]
     assert [str(v.flow).split(":")[0] for v in report.actions] == [
         "10.0.6.1", "10.0.6.2", "10.0.6.3"]
+
+
+@pytest.mark.parametrize("window", [0, 1, 7])
+def test_replay_reads_at_most_window_plus_one_lines_first(payload_classifier,
+                                                          window):
+    # the stream is read lazily: the first packet is processed as soon as
+    # the reorder window overflows, not after the whole stream
+    lines = stream("10.0.8.1", ["/a"] * 30)
+    read = []
+
+    def source():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    engine = make_engine(payload_classifier, reorder_window=window)
+    first = []
+    process = engine.process_packet
+
+    def spy(packet):
+        first.append(len(read))
+        return process(packet)
+
+    engine.process_packet = spy
+    report = engine.run_replay(source())
+    assert first[0] == window + 1
+    assert report.packets_seen == 30 and report.errors == []
+
+
+def test_late_packet_is_inspected_in_arrival_order(payload_classifier):
+    # every packet opens its own blacklisted flow, so the actions list
+    # the packets in the order the engine processed them
+    sources = ["10.0.6.3", "10.0.6.1", "10.0.6.9", "10.0.6.2"]
+    lines = [packet_line(src, "/a", ts=ts)
+             for src, ts in zip(sources, [1.0, 3.0, 2.0, 4.0])]
+    engine = make_engine(payload_classifier, sources, reorder_window=0)
+    report = engine.run_replay(lines)
+    assert [v.timestamp for v in report.actions] == [1.0, 3.0, 2.0, 4.0]
+    assert report.blacklist_blocks == 4   # the late packet is not dropped
+    assert report.errors == [
+        "packet line 3: late: ts 2.0 came after ts 3.0 left the 0-packet "
+        "reorder window; inspected in arrival order"]
+    # a window of one packet holds 3.0 back until 2.0 arrives
+    report = make_engine(payload_classifier, sources,
+                         reorder_window=1).run_replay(lines)
+    assert [v.timestamp for v in report.actions] == [1.0, 2.0, 3.0, 4.0]
+    assert report.errors == []
+    engine = make_engine(payload_classifier, sources, reorder_window=0)
+    with pytest.raises(ReplayDataError, match="packet line 3: late"):
+        engine.run_replay(lines, strict=True)
+
+
+def test_blank_batches_and_line_numbers_across_parse_batches(
+        payload_classifier):
+    # a run of blank lines longer than a parse batch ends no replay
+    gap = [""] * (2 * engine_module.PARSE_BATCH + 3)
+    lines = (stream("10.0.8.2", ["/a"] * 3) + gap + ["not json"]
+             + stream("10.0.8.3", ["/b"] * 3))
+    report = make_engine(payload_classifier).run_replay(lines)
+    assert report.packets_seen == 6 and report.flows_seen == 2
+    assert report.errors[0].startswith(f"packet line {4 + len(gap)}: bad JSON")
+
+
+def test_negative_reorder_window_is_config_error():
+    with pytest.raises(EngineConfigError, match="reorder_window"):
+        EngineConfig(reorder_window=-1)
+
+
+_BENIGN = [benign_payload(np.random.default_rng(3)) for _ in range(8)]
+_MALICIOUS = [malicious_payload(np.random.default_rng(4)) for _ in range(4)]
+
+
+@st.composite
+def _shuffled_stream(draw):
+    """Packet lines of a few flows, both directions, with repeated
+    timestamps and a few malformed lines, in a drawn arrival order."""
+    lines = []
+    for flow, ts, reply, malicious in draw(st.lists(st.tuples(
+            st.integers(0, 4), st.integers(0, 12), st.booleans(),
+            st.booleans()), max_size=60)):
+        if flow == 4:
+            lines.append('{"ts": "bad"}')
+            continue
+        payload = (_MALICIOUS[ts % 4] if malicious else _BENIGN[ts % 8])
+        # a unique payload suffix names the line in the processing order
+        payload += f"?n={len(lines)}"
+        src, dst = f"10.0.7.{flow}", "10.0.9.9"
+        sport, dport = 41000 + flow, 80
+        if reply:
+            src, dst, sport, dport = dst, src, dport, sport
+        lines.append(packet_to_json_line(src, sport, dst, dport, "TCP",
+                                         ts / 4, payload))
+    return draw(st.permutations(lines))
+
+
+def _replay_bytes(report):
+    actions = io.StringIO()
+    write_actions_csv(report, actions)
+    return json.dumps(report.to_dict(), indent=1), actions.getvalue()
+
+
+@given(_shuffled_stream(), st.integers(0, 5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_window_over_the_stream_gives_the_sorted_replay(
+        payload_classifier, lines, spare, count_blocking):
+    """With a window of at least the stream's length, the report and the
+    actions are those of the replay that sorted the whole stream."""
+    cfg = dict(sampler=SamplerConfig(m=6, w_min=2, w_max=4),
+               block_on_first_hit=not count_blocking)
+    expected = reference.sorted_replay(
+        make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
+    engine = make_engine(payload_classifier, ["10.0.7.3"],
+                         reorder_window=len(lines) + spare, **cfg)
+    assert _replay_bytes(engine.run_replay(lines)) == \
+        _replay_bytes(expected)
+
+
+@given(_shuffled_stream(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_any_window_processes_in_the_reference_order(payload_classifier,
+                                                     lines, window):
+    """Every well-formed packet is processed once, in the order a sorted
+    list of ``window`` packets releases it; the late ones are reported
+    and processed on arrival."""
+    valid = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            valid.append((line_no, packet_from_json_line(line)))
+        except flows.FlowParseError:
+            pass
+    order, late = reference.reorder([p.timestamp for _, p in valid], window)
+    engine = make_engine(payload_classifier, reorder_window=window)
+    seen = []
+    process = engine.process_packet
+
+    def spy(packet):
+        seen.append(packet)
+        return process(packet)
+
+    engine.process_packet = spy
+    report = engine.run_replay(lines)
+    assert seen == [valid[i][1] for i in order]
+    assert [e.split(":")[0] for e in report.errors
+            if "late" in e] == [f"packet line {valid[i][0]}" for i in late]
 
 
 def test_replay_determinism(payload_classifier):

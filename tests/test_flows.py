@@ -408,6 +408,19 @@ def test_number_past_the_digit_limit_is_a_parse_error():
         labeled_payload_from_json_line(f'{{"payload": "/a", "label": {huge}}}')
 
 
+@pytest.mark.parametrize("nesting", [
+    "[" * 200_000, "[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000,
+], ids=["unclosed", "arrays", "objects"])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(nesting):
+    # json raises RecursionError here, which is no ValueError and used to
+    # end the command with a traceback
+    line = packet_json(payload="X").replace('"X"', nesting)
+    with pytest.raises(FlowParseError, match="bad JSON: maximum recursion"):
+        packet_from_json_line(line)
+    with pytest.raises(FlowParseError, match="bad JSON: maximum recursion"):
+        labeled_payload_from_json_line(f'{{"payload": {nesting}, "label": 1}}')
+
+
 def test_payload_that_is_not_utf8_text_rejected():
     with pytest.raises(FlowParseError, match="UTF-8"):
         packet_from_json_line(packet_json(payload="/a\ud800"))
