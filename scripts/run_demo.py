@@ -6,9 +6,7 @@ evaluates both, replays the packet stream and traces the adaptive
 sampler over a few per-window hit counts — all through the public CLI,
 so the demo doubles as a smoke test of all five commands. The replay
 runs with ``--strict``, so any generated packet, flow or blacklist line
-outside the input grammar fails the demo. It runs twice, the second time
-with ``--reorder-window 0``; on the in-order stream both runs must write
-the same report and actions bytes.
+outside the input grammar fails the demo.
 """
 
 from __future__ import annotations
@@ -47,25 +45,14 @@ def main() -> int:
                "--report-out", str(d / "payload-eval.json")])
     run(cli + ["eval", str(d / "tree-model.json"), str(d / "flows.csv"),
                "--report-out", str(d / "tree-eval.json")])
-    replay = cli + ["replay",
-                    "--packets", str(d / "packets.jsonl"),
-                    "--blacklist", str(d / "blacklist.txt"),
-                    "--payload-model", str(d / "payload-model.json"),
-                    "--flows", str(d / "flows.csv"),
-                    "--tree-model", str(d / "tree-model.json"), "--strict"]
-    run(replay + ["--report-out", str(d / "replay-report.json"),
-                  "--actions-out", str(d / "actions.csv")])
-    # the stream is in timestamp order, so a replay that holds no packet
-    # back to reorder must write the same bytes
-    run(replay + ["--report-out", str(d / "replay-report-w0.json"),
-                  "--actions-out", str(d / "actions-w0.csv"),
-                  "--reorder-window", "0"])
-    same = (("replay-report.json", "replay-report-w0.json"),
-            ("actions.csv", "actions-w0.csv"))
-    for default, unbuffered in same:
-        if (d / default).read_bytes() != (d / unbuffered).read_bytes():
-            print(f"{unbuffered} differs from {default}", file=sys.stderr)
-            return 1
+    run(cli + ["replay",
+               "--packets", str(d / "packets.jsonl"),
+               "--blacklist", str(d / "blacklist.txt"),
+               "--payload-model", str(d / "payload-model.json"),
+               "--flows", str(d / "flows.csv"),
+               "--tree-model", str(d / "tree-model.json"),
+               "--report-out", str(d / "replay-report.json"),
+               "--actions-out", str(d / "actions.csv"), "--strict"])
     # per-window hit counts: two warm-up windows, a flat stretch that grows
     # the window, then bursts that move it both ways
     (d / "deltas.csv").write_text(

@@ -118,8 +118,6 @@ OPTIONS = (
            "block on a window's hit count, not on the first hit", _REPLAY),
     Option("block-hit-count", int, "[1, inf)", 1,
            "hits in a window that block under --count-blocking", _REPLAY),
-    Option("reorder-window", int, "[0, inf)", 4096,
-           "packets held back to restore timestamp order", _REPLAY),
 )
 
 
@@ -339,8 +337,7 @@ def cmd_replay(args) -> int:
         config = EngineConfig(sampler=_sampler_config(args),
                               block_threshold=args.threshold,
                               block_on_first_hit=not args.count_blocking,
-                              window_hit_block_count=args.block_hit_count,
-                              reorder_window=args.reorder_window)
+                              window_hit_block_count=args.block_hit_count)
         engine = Engine(blacklist, featurizer, payload_model, tree_model,
                         config)
         try:

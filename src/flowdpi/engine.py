@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import islice
+from heapq import heappop, heappush, heappushpop
 from typing import Iterable, Optional
 
 from . import logistic, tree
@@ -29,7 +27,7 @@ from .textfeat import Featurizer
 log = logging.getLogger(__name__)
 
 
-PARSE_BATCH = 128   # packet lines a replay parses before inspecting them
+REORDER_WINDOW = 4096   # packets a replay holds back to restore ts order
 
 
 class EngineConfigError(ValueError):
@@ -46,15 +44,12 @@ class EngineConfig:
     block_threshold: float = 0.5   # a score equal to it is malicious
     block_on_first_hit: bool = True
     window_hit_block_count: int = 1   # used when block_on_first_hit is off
-    reorder_window: int = 4096   # packets a replay holds back to reorder
 
     def __post_init__(self):
         if not 0.0 < self.block_threshold < 1.0:
             raise EngineConfigError("block_threshold must be in (0,1)")
         if self.window_hit_block_count < 1:
             raise EngineConfigError("window_hit_block_count must be >= 1")
-        if self.reorder_window < 0:
-            raise EngineConfigError("reorder_window must be >= 0")
 
 
 @dataclass
@@ -233,13 +228,12 @@ class Engine:
         """Process a packet JSONL stream and then an optional
         encrypted-flow CSV, each read one line at a time.
 
-        Packets pass through a reorder buffer ordered by (timestamp, line
-        number); once it holds more than ``config.reorder_window``
-        packets, the smallest is processed.  A stream whose packets all
-        fit in the window is thus processed in a stable sort by
-        timestamp.  A packet older than one the buffer already let go is
-        late: it is reported and processed at once, in arrival order,
-        never dropped.  Malformed records, late packets and the lines the
+        Packets pass through a heap ordered by (timestamp, line number);
+        once it holds more than ``REORDER_WINDOW`` packets, the smallest
+        is processed.  A stream whose packets all fit in the window is
+        thus processed in a stable sort by timestamp.  A packet older
+        than one the heap already let go is late: it is reported and
+        processed at once, in arrival order, never dropped.  Malformed records, late packets and the lines the
         blacklist could not read are reported with their line numbers;
         strict mode aborts on the first instead."""
         if flow_lines is not None and self.tree_model is None:
@@ -248,57 +242,31 @@ class Engine:
         for message in self.blacklist.errors:
             self._reject(message, strict)
         parse, process = packet_from_json_line, self.process_packet
-        window = self.config.reorder_window
-        # the buffer: arrivals in timestamp order stay off the heap
-        run = deque()   # (ts, line_no, packet), ascending
-        heap = []       # the out-of-order arrivals, the same triples
-
-        def smallest():
-            if heap and (not run or heap[0] < run[0]):
-                return heappop(heap)
-            return run.popleft()
-
-        released = -math.inf   # the timestamp of the last buffered packet out
-        numbered = enumerate(packet_lines, start=1)
-        while True:
-            # Parse a batch of lines back to back, then inspect it: taking
-            # turns one packet at a time ran about 10% slower (CPU caches).
-            # Until the buffer first overflows, no line is read after the
-            # one whose packet overflows it.
-            size = (PARSE_BATCH if released > -math.inf
-                    else min(PARSE_BATCH, window + 1 - len(run) - len(heap)))
-            batch = list(islice(numbered, size))
-            if not batch:
-                break
-            parsed = []   # each line's packet, or the reason it has none
-            for line_no, line in batch:
-                if line.strip():
-                    try:
-                        parsed.append((line_no, parse(line)))
-                    except FlowParseError as exc:
-                        parsed.append((line_no, f"packet line {line_no}: "
-                                                f"{exc}"))
-            for line_no, packet in parsed:
-                if isinstance(packet, str):
-                    self._reject(packet, strict)
-                    continue
-                ts = packet.timestamp
-                if ts < released:
-                    self._reject(f"packet line {line_no}: late: ts {ts!r} "
-                                 f"came after ts {released!r} left the "
-                                 f"{window}-packet reorder window; inspected "
-                                 f"in arrival order", strict)
-                    process(packet)
-                    continue
-                if not run or run[-1][0] <= ts:
-                    run.append((ts, line_no, packet))
-                else:
-                    heappush(heap, (ts, line_no, packet))
-                if len(run) + len(heap) > window:
-                    released, _, packet = smallest()
-                    process(packet)
-        while run or heap:
-            process(smallest()[2])
+        window = REORDER_WINDOW
+        held = []   # heap of (ts, line_no, packet)
+        released = -math.inf   # the timestamp of the last held packet out
+        for line_no, line in enumerate(packet_lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                packet = parse(line)
+            except FlowParseError as exc:
+                self._reject(f"packet line {line_no}: {exc}", strict)
+                continue
+            ts = packet.timestamp
+            if ts < released:
+                self._reject(f"packet line {line_no}: late: ts {ts!r} came "
+                             f"after ts {released!r} left the {window}-packet "
+                             f"reorder window; inspected in arrival order",
+                             strict)
+                process(packet)
+            elif len(held) < window:
+                heappush(held, (ts, line_no, packet))
+            else:
+                released, _, packet = heappushpop(held, (ts, line_no, packet))
+                process(packet)
+        while held:
+            process(heappop(held)[2])
         if flow_lines is not None:
             for record in read_flow_csv(flow_lines):
                 if isinstance(record, FlowRowError):

@@ -9,7 +9,7 @@ import pytest
 
 import flowdpi
 import reference
-from flowdpi import cli, logistic, metrics, persistence
+from flowdpi import cli, engine, logistic, metrics, persistence
 from flowdpi.cli import main
 from flowdpi.flows import packet_to_json_line
 from flowdpi.sampler import SamplerConfig, trace
@@ -623,26 +623,28 @@ class TestReplay:
         assert report["blacklist_blocks"] == 0
 
     def test_reorder_window_restores_timestamp_order(
-            self, payload_model_file, tmp_path):
+            self, payload_model_file, tmp_path, monkeypatch):
         packets, blacklist, lines = self._write_in_order(tmp_path)
         args = self._args(packets, blacklist, payload_model_file, tmp_path)
         assert main(args) == 0
         in_order = self._outputs(tmp_path)
-        assert main(args + ["--reorder-window", "0"]) == 0
+        monkeypatch.setattr(engine, "REORDER_WINDOW", 0)
+        assert main(args) == 0
         assert self._outputs(tmp_path) == in_order
         # swap neighbours: each packet arrives at most one place late
         lines[0::2], lines[1::2] = lines[1::2], lines[0::2]
         packets.write_text("\n".join(lines) + "\n")
-        assert main(args + ["--reorder-window", "1"]) == 0
+        monkeypatch.setattr(engine, "REORDER_WINDOW", 1)
+        assert main(args) == 0
         assert self._outputs(tmp_path) == in_order
 
     def test_late_packet_is_reported_or_fatal_under_strict(
-            self, payload_model_file, tmp_path, capsys):
+            self, payload_model_file, tmp_path, capsys, monkeypatch):
         packets, blacklist, lines = self._write_in_order(tmp_path)
         lines[0], lines[3] = lines[3], lines[0]   # ts 1.0 before the 0.0s
         packets.write_text("\n".join(lines) + "\n")
-        args = self._args(packets, blacklist, payload_model_file, tmp_path,
-                          "--reorder-window", "0")
+        args = self._args(packets, blacklist, payload_model_file, tmp_path)
+        monkeypatch.setattr(engine, "REORDER_WINDOW", 0)
         assert main(args) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         late = [f"packet line {n}: late: ts 0.0 came after ts 1.0 left the "
@@ -787,14 +789,13 @@ READS = {
     "train-encrypted": {"seed", "k-folds"},
     "eval": {"threshold"},
     "replay": {"m", "w-min", "w-max", "history", "threshold", "strict",
-               "count-blocking", "block-hit-count", "reorder-window"},
+               "count-blocking", "block-hit-count"},
     "sample-trace": {"m", "w-min", "w-max", "history"},
 }
 SWITCHES = {"strict", "count-blocking"}
 IN_RANGE = {"seed": "3", "lambda": "0.01", "lr": "0.5", "max-iters": "50",
             "k-folds": "3", "m": "50", "w-min": "4", "w-max": "10",
-            "history": "5", "threshold": "0.5", "block-hit-count": "2",
-            "reorder-window": "0"}
+            "history": "5", "threshold": "0.5", "block-hit-count": "2"}
 
 
 def required_args(command, tmp_path):
@@ -943,8 +944,8 @@ def test_option_table_gives_each_command_what_it_reads():
     assert {command: {opt.flag for opt in cli.OPTIONS
                       if command in opt.commands}
             for command in READS} == READS
-    # with --config on every command: 27 settable (command, option) pairs
-    assert sum(len(flags) + 1 for flags in READS.values()) == 27
+    # with --config on every command: 26 settable (command, option) pairs
+    assert sum(len(flags) + 1 for flags in READS.values()) == 26
 
 
 @pytest.mark.parametrize("command", sorted(READS))
@@ -966,8 +967,7 @@ def test_command_takes_only_the_options_it_reads(command, flag, tmp_path,
 @pytest.mark.parametrize("flag,value", [
     ("lr", "0"), ("max-iters", "0"), ("k-folds", "1"), ("threshold", "0"),
     ("threshold", "1"), ("threshold", "nan"), ("lambda", "inf"),
-    ("history", "2"), ("block-hit-count", "0"), ("seed", "-1"),
-    ("reorder-window", "-1")])
+    ("history", "2"), ("block-hit-count", "0"), ("seed", "-1")])
 def test_out_of_range_value_is_usage_error(flag, value, source, tmp_path,
                                            capsys):
     command = next(c for c, flags in READS.items() if flag in flags)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 from collections import Counter
@@ -52,6 +53,14 @@ def make_engine(payload_classifier, blacklist_lines=(), tree_model=None,
     featurizer, model = payload_classifier
     return Engine(load_blacklist(blacklist_lines), featurizer, model,
                   tree_model, EngineConfig(**cfg))
+
+
+@contextlib.contextmanager
+def reorder_window(size):
+    """Replays in the block hold back ``size`` packets to reorder."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "REORDER_WINDOW", size)
+        yield
 
 
 def packet_line(src, payload="", ts=0.0, sport=40000, dst="10.0.9.9",
@@ -353,7 +362,7 @@ def test_replay_reads_at_most_window_plus_one_lines_first(payload_classifier,
             read.append(line)
             yield line
 
-    engine = make_engine(payload_classifier, reorder_window=window)
+    engine = make_engine(payload_classifier)
     first = []
     process = engine.process_packet
 
@@ -362,7 +371,8 @@ def test_replay_reads_at_most_window_plus_one_lines_first(payload_classifier,
         return process(packet)
 
     engine.process_packet = spy
-    report = engine.run_replay(source())
+    with reorder_window(window):
+        report = engine.run_replay(source())
     assert first[0] == window + 1
     assert report.packets_seen == 30 and report.errors == []
 
@@ -373,37 +383,31 @@ def test_late_packet_is_inspected_in_arrival_order(payload_classifier):
     sources = ["10.0.6.3", "10.0.6.1", "10.0.6.9", "10.0.6.2"]
     lines = [packet_line(src, "/a", ts=ts)
              for src, ts in zip(sources, [1.0, 3.0, 2.0, 4.0])]
-    engine = make_engine(payload_classifier, sources, reorder_window=0)
-    report = engine.run_replay(lines)
+    with reorder_window(0):
+        report = make_engine(payload_classifier, sources).run_replay(lines)
     assert [v.timestamp for v in report.actions] == [1.0, 3.0, 2.0, 4.0]
     assert report.blacklist_blocks == 4   # the late packet is not dropped
     assert report.errors == [
         "packet line 3: late: ts 2.0 came after ts 3.0 left the 0-packet "
         "reorder window; inspected in arrival order"]
     # a window of one packet holds 3.0 back until 2.0 arrives
-    report = make_engine(payload_classifier, sources,
-                         reorder_window=1).run_replay(lines)
+    with reorder_window(1):
+        report = make_engine(payload_classifier, sources).run_replay(lines)
     assert [v.timestamp for v in report.actions] == [1.0, 2.0, 3.0, 4.0]
     assert report.errors == []
-    engine = make_engine(payload_classifier, sources, reorder_window=0)
-    with pytest.raises(ReplayDataError, match="packet line 3: late"):
+    engine = make_engine(payload_classifier, sources)
+    with reorder_window(0), pytest.raises(ReplayDataError,
+                                          match="packet line 3: late"):
         engine.run_replay(lines, strict=True)
 
 
-def test_blank_batches_and_line_numbers_across_parse_batches(
-        payload_classifier):
-    # a run of blank lines longer than a parse batch ends no replay
-    gap = [""] * (2 * engine_module.PARSE_BATCH + 3)
+def test_blank_lines_are_skipped_and_keep_line_numbers(payload_classifier):
+    gap = ["", "  ", "\t"] * 100
     lines = (stream("10.0.8.2", ["/a"] * 3) + gap + ["not json"]
              + stream("10.0.8.3", ["/b"] * 3))
     report = make_engine(payload_classifier).run_replay(lines)
     assert report.packets_seen == 6 and report.flows_seen == 2
     assert report.errors[0].startswith(f"packet line {4 + len(gap)}: bad JSON")
-
-
-def test_negative_reorder_window_is_config_error():
-    with pytest.raises(EngineConfigError, match="reorder_window"):
-        EngineConfig(reorder_window=-1)
 
 
 _BENIGN = [benign_payload(np.random.default_rng(3)) for _ in range(8)]
@@ -449,10 +453,10 @@ def test_window_over_the_stream_gives_the_sorted_replay(
                block_on_first_hit=not count_blocking)
     expected = reference.sorted_replay(
         make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
-    engine = make_engine(payload_classifier, ["10.0.7.3"],
-                         reorder_window=len(lines) + spare, **cfg)
-    assert _replay_bytes(engine.run_replay(lines)) == \
-        _replay_bytes(expected)
+    engine = make_engine(payload_classifier, ["10.0.7.3"], **cfg)
+    with reorder_window(len(lines) + spare):
+        assert _replay_bytes(engine.run_replay(lines)) == \
+            _replay_bytes(expected)
 
 
 @given(_shuffled_stream(), st.integers(0, 8))
@@ -469,7 +473,7 @@ def test_any_window_processes_in_the_reference_order(payload_classifier,
         except flows.FlowParseError:
             pass
     order, late = reference.reorder([p.timestamp for _, p in valid], window)
-    engine = make_engine(payload_classifier, reorder_window=window)
+    engine = make_engine(payload_classifier)
     seen = []
     process = engine.process_packet
 
@@ -478,7 +482,8 @@ def test_any_window_processes_in_the_reference_order(payload_classifier,
         return process(packet)
 
     engine.process_packet = spy
-    report = engine.run_replay(lines)
+    with reorder_window(window):
+        report = engine.run_replay(lines)
     assert seen == [valid[i][1] for i in order]
     assert [e.split(":")[0] for e in report.errors
             if "late" in e] == [f"packet line {valid[i][0]}" for i in late]
