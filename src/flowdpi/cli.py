@@ -162,11 +162,43 @@ def _cannot_read(what: str, path: Path, exc: Exception) -> DataError:
     return DataError(f"cannot read {what} {path}: {reason}")
 
 
+def _bad_utf8(path: Path) -> Optional[str]:
+    """Why a file is not UTF-8, with the line of its first bad bytes (as
+    universal newlines count lines) and their offset in the file.  The
+    text decoder gives only their place in its chunk, so the file is
+    read again in binary, one line at a time.  None if it can no longer
+    be read or is now UTF-8."""
+    line_no, offset = 1, 0
+    try:
+        with open(path, "rb") as fp:
+            for raw in fp:
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad = raw[exc.start:exc.end]
+                    line_no += raw.count(b"\r", 0, exc.start)
+                    return (f"'utf-8' codec can't decode "
+                            f"{'byte' if len(bad) == 1 else 'bytes'} "
+                            f"{' '.join(f'0x{b:02x}' for b in bad)} on line "
+                            f"{line_no} at byte offset {offset + exc.start}: "
+                            f"{exc.reason}")
+                # a line ends at "\n", "\r\n" or "\r"
+                line_no += (raw.count(b"\r") + raw.count(b"\n")
+                            - raw.count(b"\r\n"))
+                offset += len(raw)
+    except OSError:
+        pass
+    return None
+
+
 def _lines(fp, what: str, path: Path) -> Iterator[str]:
     try:
         for line in fp:
             yield line.rstrip("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: "
+                        f"{_bad_utf8(path) or exc}") from exc
+    except OSError as exc:
         raise _cannot_read(what, path, exc) from exc
 
 
@@ -231,7 +263,7 @@ def _print_cv_table(fold_metrics: list[metrics.Metrics]) -> None:
 
 def cmd_train_payload(args) -> int:
     payloads, y = _read_labeled_corpus(args.corpus)
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         raise DataError("corpus contains a single class")
     hyper = logistic.LogisticHyper(lam=getattr(args, "lambda"),
                                    learning_rate=args.lr,
@@ -261,7 +293,7 @@ def cmd_train_payload(args) -> int:
 
 def cmd_train_encrypted(args) -> int:
     X, y = _read_labeled_flows(args.flows)
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         raise DataError("flow data contains a single class")
     hyper = tree.TreeHyper()
 

@@ -5,6 +5,10 @@ blacklist.  Stage two samples the first w packets of every m-packet
 epoch per flow, classifies unencrypted sampled payloads, feeds the hit
 count back into the adaptive sampler, and classifies encrypted flows
 from their metadata.  Block actions are simulated verdict events.
+
+A replay scores its sampled payloads in batches: it plans which packets
+of the next ``SCORE_BATCH`` would be sampled, scores them together and
+then processes the packets one at a time, in order, reading the scores.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from .blacklist import Blacklist, check_flow
 from .encflow import EncryptedFlowRecord, FlowRowError, encode, read_flow_csv
 from .flows import (Direction, FlowKey, FlowParseError, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, packet_from_json_line)
-from .sampler import AdaptiveSampler, SamplerConfig
+from .sampler import AdaptiveSampler, SamplerConfig, advance
 from .textfeat import Featurizer
 
 log = logging.getLogger(__name__)
 
 
 REORDER_WINDOW = 4096   # packets a replay holds back to restore ts order
+SCORE_BATCH = 256   # packets a replay plans, scores and processes together
 
 
 class EngineConfigError(ValueError):
@@ -121,6 +126,7 @@ class Engine:
         self.config = config
         self.report = EngineReport()
         self._flows: dict[FlowKey, FlowState] = {}
+        self._scores: dict[int, float] = {}   # id(packet) -> planned score
 
     def _emit(self, verdict: Verdict) -> Verdict:
         self.report.actions.append(verdict)
@@ -170,7 +176,9 @@ class Engine:
         verdict = None
         if position < state.sampler.current_window and not packet.encrypted:
             self.report.packets_sampled += 1
-            score = self.score(packet.payload_text())
+            score = self._scores.get(id(packet))
+            if score is None:   # not planned: a window grew on a hit
+                score = self.score(packet.payload_text())
             if score >= self.config.block_threshold:
                 state.window_hits += 1
                 state.max_window_score = max(state.max_window_score, score)
@@ -202,6 +210,54 @@ class Engine:
                     packet.timestamp))
         return verdict
 
+    def _plan(self, packets: list[PacketRecord]) -> list[PacketRecord]:
+        """The packets that ``process_packet`` would sample, in order, if
+        none of them scored a hit, read from the flow states and left
+        them as they are.  A new flow is taken to be off the blacklist.
+        Under first-hit blocking a hit blocks its flow, so every sampled
+        packet is planned; a window of hits under count blocking can
+        grow the next window past the plan."""
+        flows, config = self._flows, self.config.sampler
+        m, w_min, keep = config.m, config.w_min, config.history_len
+        planned = []
+        # flow -> [blocked, packets_in_epoch, window, sampler history]
+        plans: dict[FlowKey, list] = {}
+        for packet in packets:
+            plan = plans.get(packet.flow)
+            if plan is None:
+                state = flows.get(packet.flow)
+                plan = plans[packet.flow] = (
+                    [False, 0, w_min, ()] if state is None else
+                    [state.blocked, state.packets_in_epoch,
+                     state.sampler.current_window, state.sampler.history])
+            if plan[0]:
+                continue
+            position = plan[1]
+            plan[1] += 1
+            if position < plan[2] and not packet.encrypted:
+                planned.append(packet)
+            if plan[1] >= m:
+                history = [*plan[3], (plan[2], 0)][-keep:]
+                plan[1], plan[2], plan[3] = (
+                    0, advance(config, history, plan[2], 0)[2], history)
+        return planned
+
+    def _process_batch(self, packets: list[PacketRecord]) -> None:
+        """Score the planned packets in one ``logistic.predict_proba``
+        call, then process every packet in order."""
+        planned = self._plan(packets)
+        if planned:
+            X = self.featurizer.featurize_batch(
+                [packet.payload_text() for packet in planned])
+            scores = logistic.predict_proba(self.payload_model, X).tolist()
+            self._scores = dict(zip(map(id, planned), scores))
+        process = self.process_packet
+        try:
+            for packet in packets:
+                process(packet)
+        finally:
+            self._scores = {}
+
     def process_encrypted_flow(self,
                                record: EncryptedFlowRecord) -> Verdict:
         if self.tree_model is None:
@@ -230,21 +286,25 @@ class Engine:
 
         Packets pass through a heap ordered by (timestamp, line number);
         once it holds more than ``REORDER_WINDOW`` packets, the smallest
-        is processed.  A stream whose packets all fit in the window is
-        thus processed in a stable sort by timestamp.  A packet older
-        than one the heap already let go is late: it is reported and
-        processed at once, in arrival order, never dropped.  Malformed records, late packets and the lines the
-        blacklist could not read are reported with their line numbers;
-        strict mode aborts on the first instead."""
+        is let go.  A stream whose packets all fit in the window is thus
+        processed in a stable sort by timestamp.  A packet older than one
+        the heap already let go is late: it is reported and let go at
+        once, in arrival order, never dropped.  Packets let go wait in
+        arrival order until ``SCORE_BATCH`` of them are processed as one
+        batch, so a replay holds at most ``REORDER_WINDOW +
+        SCORE_BATCH`` packets.  Malformed records, late packets and the
+        lines the blacklist could not read are reported with their line
+        numbers; strict mode aborts on the first instead."""
         if flow_lines is not None and self.tree_model is None:
             raise EngineConfigError(
                 "flow stream given but no tree model loaded")
         for message in self.blacklist.errors:
             self._reject(message, strict)
-        parse, process = packet_from_json_line, self.process_packet
-        window = REORDER_WINDOW
+        parse = packet_from_json_line
+        window, batch = REORDER_WINDOW, SCORE_BATCH
         held = []   # heap of (ts, line_no, packet)
         released = -math.inf   # the timestamp of the last held packet out
+        pending = []   # packets let go, in order, not yet processed
         for line_no, line in enumerate(packet_lines, start=1):
             if not line.strip():
                 continue
@@ -259,14 +319,18 @@ class Engine:
                              f"after ts {released!r} left the {window}-packet "
                              f"reorder window; inspected in arrival order",
                              strict)
-                process(packet)
             elif len(held) < window:
                 heappush(held, (ts, line_no, packet))
+                continue
             else:
                 released, _, packet = heappushpop(held, (ts, line_no, packet))
-                process(packet)
-        while held:
-            process(heappop(held)[2])
+            pending.append(packet)
+            if len(pending) == batch:
+                self._process_batch(pending)
+                pending = []
+        pending += (heappop(held)[2] for _ in range(len(held)))
+        for start in range(0, len(pending), batch):
+            self._process_batch(pending[start:start + batch])
         if flow_lines is not None:
             for record in read_flow_csv(flow_lines):
                 if isinstance(record, FlowRowError):

@@ -184,10 +184,10 @@ def train(X: FeatureBatch, y, hyper: LogisticHyper = LogisticHyper()
     size, so the accepted loss sequence is non-increasing.
     """
     y = np.asarray(y, dtype=float)
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
+    positive = y == 1.0
+    if not np.all(positive | (y == 0.0)):
         raise ValueError("labels must be 0/1")
-    if classes.size < 2:
+    if positive.all() or not positive.any():
         raise ValueError("training needs both classes present")
     model = LogisticModel(np.zeros(X.shape[1]), 0.0, hyper.lam)
     _check(model, X)

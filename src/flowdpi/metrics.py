@@ -162,7 +162,10 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in sorted(np.unique(y).tolist()):
+    ordered = np.sort(y, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    for cls in ordered[first].tolist():
         idx = np.flatnonzero(y == cls)
         if idx.shape[0] < k:
             raise ValueError(f"class {cls} has fewer than k={k} members")

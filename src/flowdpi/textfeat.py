@@ -5,12 +5,15 @@ tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
-``count_payload`` counts a payload's tri-grams and linguistic features
-once.  Training and evaluation work on a whole corpus: ``tokenize``
-counts each payload, ``fit_featurizer`` fits on any subset of its rows
-from those counts, and ``stack_dense`` builds the ``FeatureBatch`` of
-any subset.  Replay featurizes one packet at a time with
-``Featurizer.featurize``, from the same counts; both give the same bits.
+``count_payload`` counts one payload's tri-grams and linguistic
+features; ``count_batch`` counts a list of payloads at once with numpy,
+each tri-gram packed into one integer.  Training and evaluation work on
+a whole corpus: ``tokenize`` counts each payload, ``fit_featurizer``
+fits on any subset of its rows from those counts, and ``stack_dense``
+builds the ``FeatureBatch`` of any subset.  Replay featurizes its
+sampled packets a batch at a time with ``Featurizer.featurize_batch``
+and, where it must, one at a time with ``Featurizer.featurize``; every
+path gives the same bits.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,14 +48,140 @@ def count_payload(payload: str) -> tuple[Counter, int, tuple[int, ...]]:
     linguistic counts of its lower-case form, ASCII only: digits, digits
     in runs of two or more, consonants in runs of two or more, letters
     that occur more than once, and vowels."""
+    return (Counter(trigrams(payload)), max(len(payload) - 2, 0),
+            _linguistic(payload))
+
+
+def _linguistic(payload: str) -> tuple[int, ...]:
     low = payload.lower()
     letters = _LETTERS.intersection(low)
-    linguistic = (sum(map(low.count, _DIGITS.intersection(low))),
-                  sum(map(len, _DIGIT_RUNS.findall(low))),
-                  sum(map(len, _CONSONANT_RUNS.findall(low))),
-                  sum([low.count(c) > 1 for c in letters]),
-                  sum(map(low.count, _VOWELS.intersection(letters))))
-    return Counter(trigrams(payload)), max(len(payload) - 2, 0), linguistic
+    return (sum(map(low.count, _DIGITS.intersection(low))),
+            sum(map(len, _DIGIT_RUNS.findall(low))),
+            sum(map(len, _CONSONANT_RUNS.findall(low))),
+            sum([low.count(c) > 1 for c in letters]),
+            sum(map(low.count, _VOWELS.intersection(letters))))
+
+
+# a tri-gram as one int64: its code points (each below 2**21) packed as
+# c0 << 42 | c1 << 21 | c2, below 2**63, which sorts as the tri-gram
+# strings sort
+_BITS = 21
+_MASK = (1 << _BITS) - 1
+
+_DIGIT, _VOWEL, _CONSONANT = 1, 2, 4
+
+
+def _ascii_classes() -> tuple[np.ndarray, np.ndarray]:
+    """By ASCII code, the class ``count_payload`` puts a character in and
+    its letter as 0..25 (-1: not a letter), upper case as lower case."""
+    classes = np.zeros(128, dtype=np.uint8)
+    letters = np.full(128, -1, dtype=np.intp)
+    classes[ord("0"):ord("9") + 1] = _DIGIT
+    for i, c in enumerate(sorted(_LETTERS)):
+        for code in (ord(c), ord(c.upper())):
+            classes[code] = _VOWEL if c in _VOWELS else _CONSONANT
+            letters[code] = i
+    return classes, letters
+
+
+_CLASS, _LETTER_INDEX = _ascii_classes()
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype="<u4")
+
+
+def _pack(first: np.ndarray, second: np.ndarray,
+          third: np.ndarray) -> np.ndarray:
+    """Tri-gram codes from the code points of their three characters."""
+    code = first.astype(np.int64) << (2 * _BITS)
+    code |= second.astype(np.int64) << _BITS
+    code |= third
+    return code
+
+
+def _unpack(codes: np.ndarray) -> list[str]:
+    """The tri-gram strings of packed codes."""
+    chars = np.empty((codes.shape[0], 3), dtype="<u4")
+    chars[:, 0] = codes >> (2 * _BITS)
+    chars[:, 1] = (codes >> _BITS) & _MASK
+    chars[:, 2] = codes & _MASK
+    text = chars.tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[i:i + 3] for i in range(0, len(text), 3)]
+
+
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and how often each occurs."""
+    keys = np.sort(keys)
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(starts, append=keys.shape[0])
+
+
+def _in_runs(flags: np.ndarray) -> np.ndarray:
+    """Which set flags have a set neighbour: the members of runs of two
+    or more."""
+    near = np.zeros_like(flags)
+    near[1:] = flags[:-1]
+    near[:-1] |= flags[1:]
+    return flags & near
+
+
+class BatchCounts(NamedTuple):
+    """``count_payload`` of each of ``n`` payloads: ``codes`` holds every
+    tri-gram of every payload, packed, in order, and ``owner`` the
+    payload each belongs to; ``totals`` and ``linguistic`` are by
+    payload."""
+    owner: np.ndarray
+    codes: np.ndarray
+    totals: np.ndarray
+    linguistic: np.ndarray
+
+
+def count_batch(payloads: Sequence[str]) -> BatchCounts:
+    """``count_payload`` of each payload, by numpy over all of them: the
+    payloads are joined with a NUL after each, which no tri-gram and no
+    run of digits or consonants may cross.  ``str.lower`` can turn a
+    non-ASCII character into ASCII letters (the Kelvin sign into "k"),
+    so the linguistic counts of a payload that is not ASCII are
+    ``count_payload``'s."""
+    n = len(payloads)
+    lengths = np.fromiter(map(len, payloads), dtype=np.intp, count=n)
+    text = "\0".join([*payloads, ""])
+    chars = _code_points(text)
+    ends = np.cumsum(lengths + 1) - 1
+    # tri-gram i starts at char i; the ones that hold a NUL end are out
+    cut = np.zeros(chars.shape[0], dtype=bool)
+    cut[ends] = True
+    whole = ~(cut[:-2] | cut[1:-1] | cut[2:])
+    codes = _pack(chars[:-2], chars[1:-1], chars[2:])[whole]
+    totals = np.maximum(lengths - 2, 0).astype(np.int64)
+    owner = np.repeat(np.arange(n), totals)
+
+    ascii_chars = np.minimum(chars, 127)
+    cls = _CLASS[ascii_chars]
+    letter = _LETTER_INDEX[ascii_chars]
+    char_owner = np.repeat(np.arange(n), lengths + 1)
+    digit = (cls & _DIGIT).astype(bool)
+    consonant = (cls & _CONSONANT).astype(bool)
+    is_letter = letter >= 0
+    per_letter = np.bincount(char_owner[is_letter] * 26 + letter[is_letter],
+                             minlength=26 * n).reshape(n, 26)
+    linguistic = np.empty((n, N_LINGUISTIC), dtype=np.int64)
+    for j, flags in enumerate((digit, _in_runs(digit), _in_runs(consonant))):
+        linguistic[:, j] = np.bincount(char_owner[flags], minlength=n)
+    linguistic[:, 3] = np.count_nonzero(per_letter > 1, axis=1)
+    linguistic[:, 4] = np.bincount(char_owner[(cls & _VOWEL).astype(bool)],
+                                   minlength=n)
+    if not text.isascii():
+        for i, payload in enumerate(payloads):
+            if not payload.isascii():
+                linguistic[i] = _linguistic(payload)
+    return BatchCounts(owner, codes, totals, linguistic)
 
 
 @dataclass(frozen=True)
@@ -135,6 +265,39 @@ class Featurizer:
             col += 1
         return row
 
+    @cached_property
+    def _idf(self) -> np.ndarray:
+        return np.array(self.tfidf.idf, dtype=float)
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The packed codes of the vocabulary's tri-grams, ascending, and
+        their columns, then a code above every tri-gram's, so that a
+        ``searchsorted`` position is always in range."""
+        vocabulary = self.tfidf.vocabulary
+        grams = [t for t in vocabulary if len(t) == 3]
+        chars = _code_points("".join(grams)).reshape(-1, 3)
+        codes = _pack(chars[:, 0], chars[:, 1], chars[:, 2])
+        order = np.argsort(codes)
+        columns = np.fromiter(map(vocabulary.__getitem__, grams),
+                              dtype=np.intp, count=len(grams))
+        return (np.append(codes[order], np.iinfo(np.int64).max),
+                np.append(columns[order], -1))
+
+    def featurize_batch(self, payloads: Sequence[str]) -> FeatureBatch:
+        """The feature rows of ``payloads``, in order: row i holds bit for
+        bit the entries of ``featurize`` of the i-th payload."""
+        owner, codes, totals, linguistic = count_batch(payloads)
+        known, columns = self._lookup
+        # searchsorted runs several times faster on ascending needles
+        order = np.argsort(codes)
+        codes, owner = codes[order], owner[order]
+        at = np.searchsorted(known, codes)
+        hit = known[at] == codes
+        keys, counts = _tally(owner[hit] * self.dim + columns[at[hit]])
+        owner, cols = np.divmod(keys, self.dim)
+        return _assemble(self, owner, cols, counts, totals, linguistic)
+
 
 @dataclass(frozen=True, eq=False)
 class TokenizedCorpus:
@@ -175,23 +338,15 @@ class TokenizedCorpus:
 
 
 def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
-    counted = [count_payload(p) for p in payloads]
-    grams = [g for g, _, _ in counted]
-    vocabulary = tuple(sorted(set().union(*grams)))
-    index = {t: i for i, t in enumerate(vocabulary)}
-    indptr = np.zeros(len(grams) + 1, dtype=np.intp)
-    np.cumsum([len(g) for g in grams], out=indptr[1:])
-    nnz = int(indptr[-1])
-    ids = np.fromiter((index[t] for g in grams for t in g), dtype=np.intp,
-                      count=nnz)
-    counts = np.fromiter((c for g in grams for c in g.values()),
-                         dtype=np.int64, count=nnz)
-    order = np.lexsort((ids, np.repeat(np.arange(len(grams)),
-                                       np.diff(indptr))))
-    totals = np.array([t for _, t, _ in counted], dtype=np.int64)
-    linguistic = np.array([ling for _, _, ling in counted],
-                          dtype=np.int64).reshape(len(counted), N_LINGUISTIC)
-    return TokenizedCorpus(vocabulary, indptr, ids[order], counts[order],
+    n = len(payloads)
+    owner, codes, totals, linguistic = count_batch(payloads)
+    grams, _ = _tally(codes)
+    size = max(grams.shape[0], 1)
+    keys, counts = _tally(owner * size + np.searchsorted(grams, codes))
+    rows, ids = np.divmod(keys, size)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return TokenizedCorpus(tuple(_unpack(grams)), indptr, ids, counts,
                            totals, linguistic)
 
 
@@ -240,8 +395,7 @@ def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
     .featurize(p)`` of the i-th payload: tri-grams outside the
     featurizer's vocabulary still count in the TF denominator."""
     rows = corpus.select(rows)
-    n = rows.shape[0]
-    if n == 0:
+    if rows.shape[0] == 0:
         raise ValueError("no rows to stack")
     vocab = featurizer.tfidf.vocabulary
     column = np.fromiter(map(vocab.get, corpus.vocabulary, repeat(-1)),
@@ -249,13 +403,22 @@ def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
     owner, ids, counts = corpus.entries(rows)
     cols = column[ids]
     known = cols >= 0
-    owner, cols, counts = owner[known], cols[known], counts[known]
-    idf = np.array(featurizer.tfidf.idf, dtype=float)
-    tfidf = (counts / corpus.totals[rows][owner]) * idf[cols]
-    ling = _normalize_rows(featurizer.norm, corpus.linguistic[rows])
+    return _assemble(featurizer, owner[known], cols[known], counts[known],
+                     corpus.totals[rows], corpus.linguistic[rows])
+
+
+def _assemble(featurizer: Featurizer, owner: np.ndarray, cols: np.ndarray,
+              counts: np.ndarray, totals: np.ndarray,
+              linguistic: np.ndarray) -> FeatureBatch:
+    """The batch of rows whose known tri-grams are the entries (row,
+    column, count), with each row's tri-gram total and raw linguistic
+    counts, as ``Featurizer.featurize`` values them."""
+    n = totals.shape[0]
+    tfidf = (counts / totals[owner]) * featurizer._idf[cols]
+    ling = _normalize_rows(featurizer.norm, linguistic)
     ling_owner, j = np.nonzero(ling)
     owner = np.concatenate((owner, ling_owner))
-    indices = np.concatenate((cols, len(vocab) + j))
+    indices = np.concatenate((cols, len(featurizer.tfidf.vocabulary) + j))
     # sort each row by column: rows come in order, and so do the columns
     # within a row unless a model file numbered its vocabulary out of
     # order, so this is mostly one merge of two sorted runs

@@ -142,7 +142,7 @@ def train(X, y, hyper: TreeHyper = TreeHyper()) -> DecisionTreeModel:
         raise ValueError("cannot train a tree on empty data")
     if y.shape[0] != X.shape[0]:
         raise ValueError("X and y length mismatch")
-    if not np.all(np.isin(np.unique(y), (0.0, 1.0))):
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
 
     nodes: list[TreeNode] = []

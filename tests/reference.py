@@ -10,11 +10,18 @@ The composition that the batch path replaced: ``fit_featurizer`` fits on
 a list of payload strings, ``stack_dense`` stacks per-payload rows into
 a dense matrix, ``loss_grad`` is the dense (BLAS) loss and gradient, and
 ``train`` is the gradient-descent loop that built a ``LogisticModel``
-and checked its inputs on every line-search trial.
+and checked its inputs on every line-search trial.  ``stratified_kfold``
+is the fold split that listed the classes with ``np.unique``.
+
+The corpus counter that ``textfeat.count_batch`` replaced:
+``tokenize`` counts each payload with ``count_payload`` and builds the
+``TokenizedCorpus`` from the counters.
 
 The replay order: ``sorted_replay`` is the replay that parsed every
 packet line and processed the packets in a stable sort by timestamp,
-and ``reorder`` is the reorder window as a sorted list.
+``streamed_replay`` is the replay that processed (and so scored) each
+packet as the reorder window let it go, and ``reorder`` is the reorder
+window as a sorted list.
 
 The summation order that defines a score and a gradient, in plain
 Python: ``segment_sum`` is ``S``, ``margins`` and ``gradient`` apply it
@@ -28,6 +35,7 @@ within 1e-12 of the dense path.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -35,9 +43,12 @@ from typing import Iterable
 
 import numpy as np
 
+from flowdpi import engine as engine_module
 from flowdpi import flows, logistic
-from flowdpi.textfeat import (FeatureBatch, Featurizer, NormalizationParams,
-                              TfIdfModel, trigrams)
+from flowdpi.encflow import FlowRowError, read_flow_csv
+from flowdpi.textfeat import (N_LINGUISTIC, FeatureBatch, Featurizer,
+                              NormalizationParams, TfIdfModel,
+                              TokenizedCorpus, count_payload, trigrams)
 
 _VOWELS = frozenset("aeiou")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -132,6 +143,27 @@ def featurize(featurizer: Featurizer,
         if value != 0.0:
             pairs.append((n_vocab + j, value))
     return pairs
+
+
+def tokenize(payloads) -> TokenizedCorpus:
+    counted = [count_payload(p) for p in payloads]
+    grams = [g for g, _, _ in counted]
+    vocabulary = tuple(sorted(set().union(*grams)))
+    index = {t: i for i, t in enumerate(vocabulary)}
+    indptr = np.zeros(len(grams) + 1, dtype=np.intp)
+    np.cumsum([len(g) for g in grams], out=indptr[1:])
+    nnz = int(indptr[-1])
+    ids = np.fromiter((index[t] for g in grams for t in g), dtype=np.intp,
+                      count=nnz)
+    counts = np.fromiter((c for g in grams for c in g.values()),
+                         dtype=np.int64, count=nnz)
+    order = np.lexsort((ids, np.repeat(np.arange(len(grams)),
+                                       np.diff(indptr))))
+    totals = np.array([t for _, t, _ in counted], dtype=np.int64)
+    linguistic = np.array([ling for _, _, ling in counted],
+                          dtype=np.int64).reshape(len(counted), N_LINGUISTIC)
+    return TokenizedCorpus(vocabulary, indptr, ids[order], counts[order],
+                           totals, linguistic)
 
 
 def fit_featurizer(corpus: list[str]) -> Featurizer:
@@ -316,6 +348,23 @@ def train(X, y, hyper: logistic.LogisticHyper = logistic.LogisticHyper(),
     return model, info
 
 
+def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
+    """The fold split that listed the classes with ``np.unique``."""
+    y = np.asarray(y)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for cls in sorted(np.unique(y).tolist()):
+        idx = np.flatnonzero(y == cls)
+        if idx.shape[0] < k:
+            raise ValueError(f"class {cls} has fewer than k={k} members")
+        idx = idx[rng.permutation(idx.shape[0])]
+        for j, sample in enumerate(idx):
+            folds[j % k].append(int(sample))
+    return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
 def sorted_replay(engine, packet_lines):
     """The packet replay before the reorder window: report the blacklist
     errors and every malformed packet line, then process the packets in
@@ -332,6 +381,44 @@ def sorted_replay(engine, packet_lines):
     packets.sort(key=lambda packet: packet.timestamp)
     for packet in packets:
         engine.process_packet(packet)
+    return engine.report
+
+
+def streamed_replay(engine, packet_lines, flow_lines=None):
+    """The replay that processed each packet as soon as the reorder
+    window let it go (a late packet as soon as it arrived), so that
+    ``Engine.process_packet`` scored each sampled packet on its own."""
+    engine.report.errors.extend(engine.blacklist.errors)
+    window = engine_module.REORDER_WINDOW
+    held, released = [], -math.inf
+    for line_no, line in enumerate(packet_lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            packet = flows.packet_from_json_line(line)
+        except flows.FlowParseError as exc:
+            engine.report.errors.append(f"packet line {line_no}: {exc}")
+            continue
+        ts = packet.timestamp
+        if ts < released:
+            engine.report.errors.append(
+                f"packet line {line_no}: late: ts {ts!r} came after ts "
+                f"{released!r} left the {window}-packet reorder window; "
+                f"inspected in arrival order")
+            engine.process_packet(packet)
+        elif len(held) < window:
+            heapq.heappush(held, (ts, line_no, packet))
+        else:
+            released, _, packet = heapq.heappushpop(held,
+                                                    (ts, line_no, packet))
+            engine.process_packet(packet)
+    while held:
+        engine.process_packet(heapq.heappop(held)[2])
+    for record in read_flow_csv(flow_lines or ()):
+        if isinstance(record, FlowRowError):
+            engine.report.errors.append(f"flow csv: {record}")
+        else:
+            engine.process_encrypted_flow(record)
     return engine.report
 
 

@@ -185,6 +185,46 @@ class TestTrainPayload:
         assert len(models) == 1
 
 
+def test_no_command_imports_numpy_ma(corpus_file, flows_file,
+                                    payload_model_file, tree_model_file,
+                                    tmp_path):
+    """``numpy.ma`` costs about 15 ms to import, and ``np.unique`` imports
+    it; no command needs it."""
+    packets = tmp_path / "packets.jsonl"
+    packets.write_text(packet_to_json_line("10.1.0.1", 40000, "10.9.9.9", 80,
+                                           "TCP", 0.0, "/a") + "\n")
+    blacklist = tmp_path / "blacklist.txt"
+    blacklist.write_text("10.2.0.0/16\n")
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text("0\n1\n")
+    commands = [
+        ["train-payload", corpus_file, tmp_path / "p.json", "--max-iters",
+         "20"],
+        ["train-encrypted", flows_file, tmp_path / "t.json"],
+        ["eval", payload_model_file, corpus_file, "--report-out",
+         tmp_path / "e.json"],
+        ["eval", tree_model_file, flows_file, "--report-out",
+         tmp_path / "f.json"],
+        ["replay", "--packets", packets, "--blacklist", blacklist,
+         "--payload-model", payload_model_file, "--flows", flows_file,
+         "--tree-model", tree_model_file, "--report-out",
+         tmp_path / "r.json", "--actions-out", tmp_path / "a.csv"],
+        ["sample-trace", deltas, "--output", tmp_path / "s.csv"],
+    ]
+    src = str(Path(flowdpi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys\n"
+             "from flowdpi.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, 'numpy.ma' in sys.modules)\n")
+    for argv in commands:
+        out = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                             env=env, check=True, capture_output=True,
+                             text=True, timeout=300).stdout
+        assert out.splitlines()[-1] == "0 False", argv
+
+
 class TestTrainEncrypted:
     def test_writes_tree_model(self, flows_file, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -878,6 +918,29 @@ class TestUsageAndConfig:
             with pytest.raises(cli.DataError, match=(
                     f"cannot read packet stream {path}: 'utf-8' codec")):
                 list(lines)
+
+    @pytest.mark.parametrize("bad,reason", [
+        (b"\xff\n", "byte 0xff on line 5 at byte offset {}: invalid start "
+                    "byte"),
+        (b"ok \xe2\x82", "bytes 0xe2 0x82 on line 5 at byte offset {}: "
+                         "unexpected end of data"),
+        (b"ok\r\xff\n", "byte 0xff on line 6 at byte offset {}: invalid "
+                        "start byte"),
+    ], ids=["bad-byte", "cut-short", "after-a-lone-cr"])
+    def test_bad_utf8_names_its_line_and_offset_in_the_file(
+            self, bad, reason, tmp_path):
+        # past the decoder's first 8 KiB chunk, after "\r\n", "\r" and a
+        # raw U+2028, which ends no line
+        head = "a\r\nb\rc\u2028d\n".encode() + b"x" * 10_000 + b"\n"
+        path = tmp_path / "packets.jsonl"
+        path.write_bytes(head + bad)
+        offset = len(head) + bad.index(b"\xe2" if b"\xe2" in bad else b"\xff")
+        with cli._read_lines(path, "packet stream") as lines:
+            with pytest.raises(cli.DataError) as err:
+                list(lines)
+        assert str(err.value) == (f"cannot read packet stream {path}: "
+                                  f"'utf-8' codec can't decode "
+                                  f"{reason.format(offset)}")
 
     def test_missing_file_message_names_the_file(self, tmp_path, capsys):
         inp = tmp_path / "absent.csv"

@@ -349,12 +349,13 @@ def test_replay_rejects_nan_timestamp_and_stays_ordered(payload_classifier):
         "10.0.6.1", "10.0.6.2", "10.0.6.3"]
 
 
-@pytest.mark.parametrize("window", [0, 1, 7])
-def test_replay_reads_at_most_window_plus_one_lines_first(payload_classifier,
-                                                          window):
-    # the stream is read lazily: the first packet is processed as soon as
-    # the reorder window overflows, not after the whole stream
-    lines = stream("10.0.8.1", ["/a"] * 30)
+@pytest.mark.parametrize("window,batch", [(0, 1), (1, 3), (7, 256)])
+def test_replay_reads_at_most_window_plus_batch_lines_first(
+        payload_classifier, window, batch):
+    # the stream is read lazily: the first batch is processed as soon as
+    # the reorder window has let go of SCORE_BATCH packets, not after the
+    # whole stream, and no more than window + batch packets are ever held
+    lines = stream("10.0.8.1", ["/a"] * 300)
     read = []
 
     def source():
@@ -363,18 +364,19 @@ def test_replay_reads_at_most_window_plus_one_lines_first(payload_classifier,
             yield line
 
     engine = make_engine(payload_classifier)
-    first = []
+    held = []
     process = engine.process_packet
 
     def spy(packet):
-        first.append(len(read))
+        held.append(len(read) - len(held))
         return process(packet)
 
     engine.process_packet = spy
-    with reorder_window(window):
+    with reorder_window(window), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "SCORE_BATCH", batch)
         report = engine.run_replay(source())
-    assert first[0] == window + 1
-    assert report.packets_seen == 30 and report.errors == []
+    assert held[0] == max(held) == window + batch
+    assert report.packets_seen == 300 and report.errors == []
 
 
 def test_late_packet_is_inspected_in_arrival_order(payload_classifier):
@@ -598,3 +600,118 @@ def test_actions_csv_shape(payload_classifier, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "ts,flow,kind,reason,score"
     assert len(lines) == 2 and "blacklist" in lines[1]
+
+
+@contextlib.contextmanager
+def score_batch(size):
+    """Replays in the block plan and score ``size`` packets at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "SCORE_BATCH", size)
+        yield
+
+
+def _scored_replay(engine, lines, flow_lines=None):
+    """Run the batched replay; return its bytes, the payloads of the
+    planned (batch-scored) packets and of the packets ``Engine.score``
+    scored one at a time."""
+    planned, fallback = [], []
+    plan, score = engine._plan, engine.score
+
+    def plan_spy(packets):
+        rows = plan(packets)
+        planned.extend(p.payload_text() for p in rows)
+        return rows
+
+    def score_spy(payload):
+        fallback.append(payload)
+        return score(payload)
+
+    engine._plan, engine.score = plan_spy, score_spy
+    report = engine.run_replay(lines, flow_lines)
+    return _replay_bytes(report), planned, fallback
+
+
+def _per_packet_replay(engine, lines, flow_lines=None):
+    """The per-packet replay's bytes and the payloads it sampled, each of
+    which it scored through ``Engine.score``."""
+    sampled, score = [], engine.score
+
+    def score_spy(payload):
+        sampled.append(payload)
+        return score(payload)
+
+    engine.score = score_spy
+    report = reference.streamed_replay(engine, lines, flow_lines)
+    return _replay_bytes(report), sampled
+
+
+def _assert_scored_once(sampled, planned, fallback):
+    """Each sampled packet (payloads are unique) was scored exactly once:
+    in its batch or, if the plan missed it, by ``Engine.score``."""
+    assert len(set(sampled)) == len(sampled)
+    assert Counter(planned) == Counter(set(planned))
+    assert not set(fallback) & set(planned)
+    assert sorted(fallback) == sorted(set(sampled) - set(planned))
+
+
+_BLOCKING = {"first-hit": dict(block_on_first_hit=True),
+             "count": dict(block_on_first_hit=False),
+             "count-2": dict(block_on_first_hit=False,
+                             window_hit_block_count=2)}
+
+
+@given(_shuffled_stream(), st.sampled_from(sorted(_BLOCKING)),
+       st.integers(0, 6), st.sampled_from([1, 2, 5, 256]))
+@settings(max_examples=120, deadline=None)
+def test_batched_replay_gives_the_per_packet_bytes(
+        payload_classifier, lines, blocking, window, batch):
+    """Scoring the planned packets of each batch at once gives the report
+    and the actions of the replay that scored each sampled packet on its
+    own, and scores every sampled packet exactly once."""
+    cfg = dict(sampler=SamplerConfig(m=6, w_min=2, w_max=4),
+               **_BLOCKING[blocking])
+    with reorder_window(window):
+        expected, sampled = _per_packet_replay(
+            make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
+        with score_batch(batch):
+            got, planned, fallback = _scored_replay(
+                make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
+    assert got == expected
+    _assert_scored_once(sampled, planned, fallback)
+    if blocking == "first-hit":
+        assert fallback == []
+
+
+@pytest.mark.parametrize("first_hit,hit_count", [(True, 1), (False, 2)])
+def test_window_grown_by_hits_falls_back_to_engine_score(
+        payload_classifier, hand_tree, first_hit, hit_count):
+    """Under count blocking a window of hits that does not block can grow
+    the next window past the plan, which assumed no hits: the packets it
+    adds are scored one at a time, and the bytes stay those of the
+    per-packet replay.  Under first-hit blocking the plan misses none."""
+    rng = np.random.default_rng(11)
+    lines = []
+    for flow in range(3):
+        # one hit, in the first packet, in every third epoch of six; a
+        # fragment of letters (digits would sway the model) names the packet
+        payloads = [(malicious_payload(rng) if i % 18 == 6 * flow
+                     else benign_payload(rng))
+                    + f"#{'fgh'[flow]}{chr(97 + i // 26)}{chr(97 + i % 26)}"
+                    for i in range(90)]
+        lines += [packet_line(f"10.0.5.{flow}", p, ts=i + flow / 4,
+                              sport=43000 + flow)
+                  for i, p in enumerate(payloads)]
+    flow_lines = ["src_ip,src_port,dst_ip,dst_port,proto,tls_version,ttl,"
+                  "duration,fwd_pkts,bwd_pkts",
+                  "10.0.5.9,443,10.0.9.9,50000,TCP,TLS1.2,120,1.5,10,12"]
+    cfg = dict(sampler=SamplerConfig(m=6, w_min=2, w_max=4),
+               block_on_first_hit=first_hit, window_hit_block_count=hit_count)
+    expected, sampled = _per_packet_replay(
+        make_engine(payload_classifier, (), hand_tree, **cfg), lines,
+        flow_lines)
+    got, planned, fallback = _scored_replay(
+        make_engine(payload_classifier, (), hand_tree, **cfg), lines,
+        flow_lines)
+    assert got == expected
+    _assert_scored_once(sampled, planned, fallback)
+    assert sampled and (fallback == []) == first_hit

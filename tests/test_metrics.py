@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from flowdpi.metrics import (ConfusionMatrix, confusion, evaluate, metrics,
                              pr_curve, roc_curve, stratified_kfold)
 
@@ -212,6 +215,25 @@ class TestStratifiedKfold:
         a = stratified_kfold(y, 5, seed=7)
         b = stratified_kfold(y, 5, seed=7)
         assert all(np.array_equal(x, z) for x, z in zip(a, b))
+
+    @given(st.lists(st.integers(0, 3) | st.sampled_from([0.5, np.nan]),
+                    max_size=40),
+           st.integers(2, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_folds_and_errors_are_the_unique_based_ones(self, labels, k,
+                                                        seed):
+        """The split lists the classes without ``np.unique`` (which
+        imports ``numpy.ma``), in the same order, so the folds and the
+        errors are those of the split that used it."""
+        y = np.array(labels)
+        try:
+            expected = reference.stratified_kfold(y, k, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                stratified_kfold(y, k, seed)
+            return
+        assert [f.tolist() for f in stratified_kfold(y, k, seed)] == \
+            [f.tolist() for f in expected]
 
     def test_small_class_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -294,6 +294,48 @@ def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
         _assert_batch_rows(stack_dense(f, tokenize(unseen)), f, unseen)
 
 
+# what the packed counter must split, lower and count as str does: empty
+# and one- or two-character payloads, "İ" (lower case "i" and a combining
+# dot), the Kelvin sign (lower case "k"), an astral character, NUL and
+# lone surrogates, which a JSON corpus may hold
+_odd_texts = st.text(alphabet=st.sampled_from(
+    ["a", "B", "y", "7", "/", "\u0130", "\u212a", "\U0001f600", "\x00",
+     "\ud800", "\udfff", "\u00df"]), max_size=8) | _texts
+
+
+def _assert_same_corpus(got, expected):
+    assert got.vocabulary == expected.vocabulary
+    for name in ("indptr", "ids", "counts", "totals", "linguistic"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes()), name
+
+
+@given(st.lists(_odd_texts, max_size=12), st.lists(_odd_texts, max_size=12))
+@example(["", "a", "ab", "abc", "\u0130\u0130", "\u212a\u212ak"],
+         ["\ud800ab", "\U0001f600\x00\x00", "ABa"])
+@settings(max_examples=300, deadline=None)
+def test_packed_counter_matches_the_per_payload_counter(corpus, packets):
+    """``tokenize`` gives the corpus of the per-payload counter, and
+    ``featurize_batch`` gives each payload's ``featurize`` row, bit for
+    bit."""
+    tokenized = tokenize(corpus)
+    _assert_same_corpus(tokenized, reference.tokenize(corpus))
+    if corpus:
+        f = fit_featurizer(tokenized)
+        _assert_batch_rows(f.featurize_batch(packets + corpus), f,
+                           packets + corpus)
+
+
+def test_featurize_batch_skips_vocabulary_keys_that_are_not_trigrams():
+    """A model file may hold keys of any length; only tri-grams match."""
+    f = Featurizer(TfIdfModel({"ab": 0, "abc": 1, "abcd": 2, "": 3},
+                              (1.0, 2.0, 3.0, 4.0), 2),
+                   NormalizationParams((0.0,) * 5, (4.0,) * 5))
+    payloads = ["abcd", "ab", "", "xabc"]
+    _assert_batch_rows(f.featurize_batch(payloads), f, payloads)
+
+
 def test_batch_rows_sorted_under_any_vocabulary_numbering():
     """A model file may number its vocabulary in any order; each row's
     columns still ascend."""
@@ -305,6 +347,7 @@ def test_batch_rows_sorted_under_any_vocabulary_numbering():
                                     for t in shuffled), f.tfidf.n_docs),
                    f.norm)
     _assert_batch_rows(stack_dense(g, tokenize(payloads)), g, payloads)
+    _assert_batch_rows(g.featurize_batch(payloads), g, payloads)
 
 
 @pytest.mark.parametrize("vocabulary, idf", [
