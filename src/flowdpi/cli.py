@@ -157,9 +157,18 @@ def _sampler_config(args) -> SamplerConfig:
                          history_len=args.history)
 
 
-def _cannot_read(what: str, path: Path, exc: Exception) -> DataError:
-    reason = getattr(exc, "strerror", None) or exc
-    return DataError(f"cannot read {what} {path}: {reason}")
+def _cannot(action: str, what: str, path: Path, why) -> DataError:
+    reason = getattr(why, "strerror", None) or why
+    return DataError(f"cannot {action} {what} {path}: {reason}")
+
+
+@contextlib.contextmanager
+def _writing(what: str, path: Path) -> Iterator[None]:
+    """An output that cannot be written is a data error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise _cannot("write", what, path, exc) from exc
 
 
 def _bad_utf8(path: Path) -> Optional[str]:
@@ -196,10 +205,9 @@ def _lines(fp, what: str, path: Path) -> Iterator[str]:
         for line in fp:
             yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {what} {path}: "
-                        f"{_bad_utf8(path) or exc}") from exc
+        raise _cannot("read", what, path, _bad_utf8(path) or exc) from exc
     except OSError as exc:
-        raise _cannot_read(what, path, exc) from exc
+        raise _cannot("read", what, path, exc) from exc
 
 
 @contextlib.contextmanager
@@ -213,7 +221,7 @@ def _read_lines(path: Path, what: str) -> Iterator[Iterator[str]]:
     try:
         fp = open(path, encoding="utf-8")
     except OSError as exc:
-        raise _cannot_read(what, path, exc) from exc
+        raise _cannot("read", what, path, exc) from exc
     with fp:
         yield _lines(fp, what, path)
 
@@ -284,7 +292,8 @@ def cmd_train_payload(args) -> int:
     featurizer = fit_featurizer(corpus)
     X = stack_dense(featurizer, corpus)
     model, info = logistic.train(X, y, hyper)
-    persistence.save_payload_model(args.model_out, featurizer, model)
+    with _writing("payload model", args.model_out):
+        persistence.save_payload_model(args.model_out, featurizer, model)
     print(f"wrote {args.model_out} "
           f"(dim={model.dim}, iters={info.n_iter}, "
           f"final_loss={info.losses[-1]:.6f})")
@@ -305,14 +314,22 @@ def cmd_train_encrypted(args) -> int:
                                            fit_predict))
 
     model = tree.train(X, y, hyper)
-    persistence.save_tree_model(args.model_out, model)
+    with _writing("tree model", args.model_out):
+        persistence.save_tree_model(args.model_out, model)
     print(f"wrote {args.model_out} ({len(model.nodes)} nodes)")
     return EXIT_OK
 
 
-def _write_curve_csv(path: Path, header: tuple[str, str, str],
+def _write_json(path: Path, what: str, doc: dict) -> None:
+    with _writing(what, path), open(path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp, indent=1)
+        fp.write("\n")
+
+
+def _write_curve_csv(path: Path, what: str, header: tuple[str, str, str],
                      points) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
+    with _writing(what, path), open(path, "w", encoding="utf-8",
+                                    newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(header)
         for thr, x, yv in points:
@@ -334,13 +351,12 @@ def cmd_eval(args) -> int:
         raise persistence.ModelFormatError(
             f"unknown model schema {schema!r}")
     report = metrics.evaluate(y, scores, threshold=args.threshold)
-    with open(args.report_out, "w", encoding="utf-8") as fp:
-        json.dump(report.to_dict(), fp, indent=1)
-        fp.write("\n")
+    _write_json(args.report_out, "eval report", report.to_dict())
     roc_out = args.roc_out or args.report_out.with_suffix(".roc.csv")
     pr_out = args.pr_out or args.report_out.with_suffix(".pr.csv")
-    _write_curve_csv(roc_out, ("threshold", "fpr", "tpr"), report.roc_points)
-    _write_curve_csv(pr_out, ("threshold", "recall", "precision"),
+    _write_curve_csv(roc_out, "ROC curve", ("threshold", "fpr", "tpr"),
+                     report.roc_points)
+    _write_curve_csv(pr_out, "PR curve", ("threshold", "recall", "precision"),
                      report.pr_points)
     m = report.metrics
     auc = "n/a" if report.auc is None else f"{report.auc:.6f}"
@@ -377,10 +393,9 @@ def cmd_replay(args) -> int:
                                        strict=args.strict)
         except ReplayDataError as exc:
             raise DataError(str(exc)) from exc
-    with open(args.report_out, "w", encoding="utf-8") as fp:
-        json.dump(report.to_dict(), fp, indent=1)
-        fp.write("\n")
-    with open(args.actions_out, "w", encoding="utf-8", newline="") as fp:
+    _write_json(args.report_out, "replay report", report.to_dict())
+    with _writing("actions csv", args.actions_out), \
+            open(args.actions_out, "w", encoding="utf-8", newline="") as fp:
         write_actions_csv(report, fp)
     print(f"flows={report.flows_seen} packets={report.packets_seen} "
           f"sampled={report.packets_sampled} "
@@ -403,9 +418,12 @@ def cmd_sample_trace(args) -> int:
             except ValueError as exc:
                 raise DataError(f"{args.input}:{line_no}: {exc}") from exc
     rows = trace(_sampler_config(args), deltas)
-    out = open(args.output, "w", encoding="utf-8", newline="") \
-        if args.output else sys.stdout
-    try:
+    with contextlib.ExitStack() as output:
+        out = sys.stdout
+        if args.output:
+            output.enter_context(_writing("sample trace", args.output))
+            out = output.enter_context(
+                open(args.output, "w", encoding="utf-8", newline=""))
         writer = csv.writer(out)
         writer.writerow(["step", "w", "delta", "delta_hat", "dw_next"])
         for row in rows:
@@ -414,9 +432,6 @@ def cmd_sample_trace(args) -> int:
                 "" if row.predicted is None else repr(row.predicted),
                 "" if row.dw_next is None else repr(row.dw_next),
             ])
-    finally:
-        if args.output:
-            out.close()
     if args.output:
         print(f"wrote {args.output}")
     return EXIT_OK

@@ -9,6 +9,9 @@ from their metadata.  Block actions are simulated verdict events.
 A replay scores its sampled payloads in batches: it plans which packets
 of the next ``SCORE_BATCH`` would be sampled, scores them together and
 then processes the packets one at a time, in order, reading the scores.
+A sampled packet the plan missed is scored on its own, as a one-row
+batch through the same ``Featurizer.featurize_batch`` and
+``logistic.predict_proba``.
 """
 
 from __future__ import annotations
@@ -121,7 +124,6 @@ class Engine:
         self.blacklist = blacklist
         self.featurizer = featurizer
         self.payload_model = payload_model
-        self._weights = payload_model.weights.tolist()
         self.tree_model = tree_model
         self.config = config
         self.report = EngineReport()
@@ -146,11 +148,10 @@ class Engine:
         return state
 
     def score(self, payload: str) -> float:
-        """The payload classifier's score of one payload: bit for bit
-        its score in ``logistic.predict_proba`` of a batch."""
-        row = self.featurizer.featurize(payload)
-        return logistic.sigmoid(logistic.row_margin(
-            self._weights, self.payload_model.bias, row))
+        """The payload classifier's score of one payload, as a one-row
+        batch: bit for bit its score in a batch of any size."""
+        return float(logistic.predict_proba(
+            self.payload_model, self.featurizer.featurize(payload))[0])
 
     def process_packet(self, packet: PacketRecord) -> Optional[Verdict]:
         state = self._flows.get(packet.flow)

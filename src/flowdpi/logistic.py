@@ -21,12 +21,7 @@ from .textfeat import FeatureBatch
 def sigmoid(z):
     """Numerically stable logistic function (sign-split form): with
     ``e = exp(-|z|)``, ``1/(1+e)`` for ``z >= 0`` and ``e/(1+e)``
-    otherwise.  A float is computed by the same operations, without the
-    cost of 0-d arrays, and gives the bits an array of it gives."""
-    if isinstance(z, float):
-        e = float(np.exp(-abs(z)))
-        d = 1.0 + e
-        return 1.0 / d if z >= 0 else e / d
+    otherwise.  A float gives a float."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     d = 1.0 + e
@@ -93,17 +88,6 @@ def _margins(X: FeatureBatch, rows: _Segments, w: np.ndarray, b: float,
     out = rows.sums(products, out)
     out += b
     return out
-
-
-def row_margin(w: list[float], b: float, row) -> float:
-    """The margin of one row of (column, value) pairs, as ``_margins``
-    takes it: ``S`` of the products ``w[column] * value`` by the same
-    ``np.add.reduceat``, plus ``b``; an empty row's margin is ``b``.
-    ``w`` is the weights as a list, every column below its length."""
-    if not row:
-        return b
-    products = np.array([w[col] * value for col, value in row])
-    return float(np.add.reduceat(products, (0,))[0]) + b
 
 
 class _Objective:

@@ -5,22 +5,20 @@ tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
-``count_payload`` counts one payload's tri-grams and linguistic
-features; ``count_batch`` counts a list of payloads at once with numpy,
-each tri-gram packed into one integer.  Training and evaluation work on
-a whole corpus: ``tokenize`` counts each payload, ``fit_featurizer``
-fits on any subset of its rows from those counts, and ``stack_dense``
-builds the ``FeatureBatch`` of any subset.  Replay featurizes its
-sampled packets a batch at a time with ``Featurizer.featurize_batch``
-and, where it must, one at a time with ``Featurizer.featurize``; every
-path gives the same bits.
+``count_batch`` counts the tri-grams and linguistic features of a list
+of payloads at once with numpy, each tri-gram packed into one integer.
+Training and evaluation work on a whole corpus: ``tokenize`` counts it,
+``fit_featurizer`` fits on any subset of its rows from those counts,
+and ``stack_dense`` builds the ``FeatureBatch`` of any subset.  Replay
+featurizes its sampled packets a batch at a time with
+``Featurizer.featurize_batch``; ``Featurizer.featurize`` is the
+one-row batch of a single payload.  Every path gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -37,22 +35,10 @@ _DIGIT_RUNS = re.compile("[0-9]{2,}")
 _CONSONANT_RUNS = re.compile("[bcdfghjklmnpqrstvwxyz]{2,}")   # 'y' too
 
 
-def trigrams(payload: str) -> list[str]:
-    """All contiguous 3-character substrings, in order, with duplicates."""
-    return [payload[i:i + 3] for i in range(len(payload) - 2)]
-
-
-def count_payload(payload: str) -> tuple[Counter, int, tuple[int, ...]]:
-    """What a payload's features are built from, counted once: how often
-    each tri-gram occurs, the number of tri-grams, and the five
-    linguistic counts of its lower-case form, ASCII only: digits, digits
-    in runs of two or more, consonants in runs of two or more, letters
-    that occur more than once, and vowels."""
-    return (Counter(trigrams(payload)), max(len(payload) - 2, 0),
-            _linguistic(payload))
-
-
 def _linguistic(payload: str) -> tuple[int, ...]:
+    """The five linguistic counts of a payload's lower-case form, ASCII
+    only: digits, digits in runs of two or more, consonants in runs of
+    two or more, letters that occur more than once, and vowels."""
     low = payload.lower()
     letters = _LETTERS.intersection(low)
     return (sum(map(low.count, _DIGITS.intersection(low))),
@@ -72,7 +58,7 @@ _DIGIT, _VOWEL, _CONSONANT = 1, 2, 4
 
 
 def _ascii_classes() -> tuple[np.ndarray, np.ndarray]:
-    """By ASCII code, the class ``count_payload`` puts a character in and
+    """By ASCII code, the class ``_linguistic`` puts a character in and
     its letter as 0..25 (-1: not a letter), upper case as lower case."""
     classes = np.zeros(128, dtype=np.uint8)
     letters = np.full(128, -1, dtype=np.intp)
@@ -132,10 +118,10 @@ def _in_runs(flags: np.ndarray) -> np.ndarray:
 
 
 class BatchCounts(NamedTuple):
-    """``count_payload`` of each of ``n`` payloads: ``codes`` holds every
-    tri-gram of every payload, packed, in order, and ``owner`` the
-    payload each belongs to; ``totals`` and ``linguistic`` are by
-    payload."""
+    """The counts of ``n`` payloads: ``codes`` holds every tri-gram of
+    every payload, packed, in order, and ``owner`` the payload each
+    belongs to; ``totals`` (the number of tri-grams) and ``linguistic``
+    (the five counts of ``_linguistic``) are by payload."""
     owner: np.ndarray
     codes: np.ndarray
     totals: np.ndarray
@@ -143,12 +129,12 @@ class BatchCounts(NamedTuple):
 
 
 def count_batch(payloads: Sequence[str]) -> BatchCounts:
-    """``count_payload`` of each payload, by numpy over all of them: the
+    """The counts of each payload, by numpy over all of them: the
     payloads are joined with a NUL after each, which no tri-gram and no
     run of digits or consonants may cross.  ``str.lower`` can turn a
     non-ASCII character into ASCII letters (the Kelvin sign into "k"),
     so the linguistic counts of a payload that is not ASCII are
-    ``count_payload``'s."""
+    ``_linguistic``'s."""
     n = len(payloads)
     lengths = np.fromiter(map(len, payloads), dtype=np.intp, count=n)
     text = "\0".join([*payloads, ""])
@@ -242,28 +228,9 @@ class Featurizer:
     def dim(self) -> int:
         return len(self.tfidf.vocabulary) + N_LINGUISTIC
 
-    def featurize(self, payload: str) -> list[tuple[int, float]]:
-        """The payload's feature row: (column, value) pairs, columns
-        ascending, bit for bit its row of ``stack_dense``.
-
-        Tri-gram ``t`` of the vocabulary gets ``(count / total) *
-        idf[t]``, where ``total`` counts every tri-gram of the payload;
-        linguistic count ``j`` is min-max scaled, clamped to [0, 1] (0
-        when ``l_min == l_max``) and left out when 0.
-        """
-        grams, total, linguistic = count_payload(payload)
-        vocabulary, idf = self.tfidf.vocabulary, self.tfidf.idf
-        row = [(col, (c / total) * idf[col]) for t, c in grams.items()
-               if (col := vocabulary.get(t)) is not None]
-        row.sort()
-        col = len(vocabulary)
-        for v, lo, hi in zip(linguistic, self.norm.l_min, self.norm.l_max):
-            if hi != lo:
-                x = (v - lo) / (hi - lo)
-                if x > 0.0:
-                    row.append((col, x if x < 1.0 else 1.0))
-            col += 1
-        return row
+    def featurize(self, payload: str) -> FeatureBatch:
+        """The payload's feature row, as a one-row batch."""
+        return self.featurize_batch([payload])
 
     @cached_property
     def _idf(self) -> np.ndarray:
@@ -285,8 +252,14 @@ class Featurizer:
                 np.append(columns[order], -1))
 
     def featurize_batch(self, payloads: Sequence[str]) -> FeatureBatch:
-        """The feature rows of ``payloads``, in order: row i holds bit for
-        bit the entries of ``featurize`` of the i-th payload."""
+        """The feature rows of ``payloads``, in order.
+
+        Tri-gram ``t`` of the vocabulary gets ``(count / total) *
+        idf[t]``, where ``total`` counts every tri-gram of the payload;
+        linguistic count ``j`` is min-max scaled, clamped to [0, 1] (0
+        when ``l_min == l_max``) and left out when 0.  A row's values do
+        not depend on the other payloads of the batch.
+        """
         owner, codes, totals, linguistic = count_batch(payloads)
         known, columns = self._lookup
         # searchsorted runs several times faster on ascending needles
@@ -377,8 +350,8 @@ def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
 
 def _normalize_rows(params: NormalizationParams,
                     counts: np.ndarray) -> np.ndarray:
-    """Each linguistic count scaled as ``Featurizer.featurize`` scales
-    it, by the same expressions, over rows of counts."""
+    """Each linguistic count of rows of counts min-max scaled and
+    clamped to [0, 1], or 0 where ``l_min == l_max``."""
     lo = np.array(params.l_min, dtype=float)
     hi = np.array(params.l_max, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -391,8 +364,8 @@ def _normalize_rows(params: NormalizationParams,
 def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
                 rows=None) -> FeatureBatch:
     """The payloads at ``rows`` (all by default), in that order, as one
-    batch.  Row i holds bit for bit the entries of ``featurizer
-    .featurize(p)`` of the i-th payload: tri-grams outside the
+    batch.  Row i holds bit for bit the row ``featurizer
+    .featurize_batch`` gives the i-th payload: tri-grams outside the
     featurizer's vocabulary still count in the TF denominator."""
     rows = corpus.select(rows)
     if rows.shape[0] == 0:
@@ -412,7 +385,7 @@ def _assemble(featurizer: Featurizer, owner: np.ndarray, cols: np.ndarray,
               linguistic: np.ndarray) -> FeatureBatch:
     """The batch of rows whose known tri-grams are the entries (row,
     column, count), with each row's tri-gram total and raw linguistic
-    counts, as ``Featurizer.featurize`` values them."""
+    counts, valued as ``Featurizer.featurize_batch`` defines."""
     n = totals.shape[0]
     tfidf = (counts / totals[owner]) * featurizer._idf[cols]
     ling = _normalize_rows(featurizer.norm, linguistic)

@@ -1,10 +1,12 @@
 """Oracles for the payload featurization and training paths.
 
-The per-payload featurization that ``textfeat.count_payload`` and
-``Featurizer.featurize`` replaced: ``linguistic_features`` walks the
-payload a character at a time, ``transform_tfidf`` and ``normalize``
-give the tri-gram and linguistic blocks, and ``featurize`` joins them
-into a row of (column, value) pairs.
+The per-payload featurization that the batch featurizer replaced:
+``trigrams`` lists a payload's tri-grams, ``linguistic_features`` walks
+it a character at a time, ``transform_tfidf`` and ``normalize`` give the
+tri-gram and linguistic blocks, and ``featurize`` joins them into a row
+of (column, value) pairs.  ``row`` reads a row of a ``FeatureBatch`` in
+that form; tests require every row the package builds, one payload's
+included, to be the oracle's row bit for bit.
 
 The composition that the batch path replaced: ``fit_featurizer`` fits on
 a list of payload strings, ``stack_dense`` stacks per-payload rows into
@@ -14,8 +16,9 @@ and checked its inputs on every line-search trial.  ``stratified_kfold``
 is the fold split that listed the classes with ``np.unique``.
 
 The corpus counter that ``textfeat.count_batch`` replaced:
-``tokenize`` counts each payload with ``count_payload`` and builds the
-``TokenizedCorpus`` from the counters.
+``tokenize`` counts each payload's tri-grams with a ``Counter`` and its
+linguistic features with ``linguistic_features``, and builds the
+``TokenizedCorpus`` from the counts.
 
 The replay order: ``sorted_replay`` is the replay that parsed every
 packet line and processed the packets in a stable sort by timestamp,
@@ -48,7 +51,7 @@ from flowdpi import flows, logistic
 from flowdpi.encflow import FlowRowError, read_flow_csv
 from flowdpi.textfeat import (N_LINGUISTIC, FeatureBatch, Featurizer,
                               NormalizationParams, TfIdfModel,
-                              TokenizedCorpus, count_payload, trigrams)
+                              TokenizedCorpus)
 
 _VOWELS = frozenset("aeiou")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -67,6 +70,11 @@ class LinguisticFeatures:
         return (self.n_digits, self.n_consecutive_digits,
                 self.n_consecutive_consonants, self.n_repeated_letters,
                 self.n_vowels)
+
+
+def trigrams(payload: str) -> list[str]:
+    """All contiguous 3-character substrings, in order, with duplicates."""
+    return [payload[i:i + 3] for i in range(len(payload) - 2)]
 
 
 def _run_sum(chars: Iterable[bool]) -> int:
@@ -146,7 +154,8 @@ def featurize(featurizer: Featurizer,
 
 
 def tokenize(payloads) -> TokenizedCorpus:
-    counted = [count_payload(p) for p in payloads]
+    counted = [(Counter(trigrams(p)), max(len(p) - 2, 0),
+                linguistic_features(p).as_tuple()) for p in payloads]
     grams = [g for g, _, _ in counted]
     vocabulary = tuple(sorted(set().union(*grams)))
     index = {t: i for i, t in enumerate(vocabulary)}
@@ -197,6 +206,14 @@ def to_dense(row, dim: int) -> np.ndarray:
     for col, value in row:
         dense[col] = value
     return dense
+
+
+def row(batch: FeatureBatch, i: int) -> list[tuple[int, float]]:
+    """Row ``i`` of a ``FeatureBatch`` as (column, value) pairs, in its
+    stored order."""
+    lo, hi = batch.indptr[i], batch.indptr[i + 1]
+    return list(zip(batch.indices[lo:hi].tolist(),
+                    batch.data[lo:hi].tolist()))
 
 
 def dense(batch: FeatureBatch) -> np.ndarray:

@@ -19,8 +19,8 @@ from flowdpi.blacklist import load_blacklist
 from flowdpi.engine import Engine, EngineConfig
 from flowdpi.flows import packet_to_json_line
 from flowdpi.sampler import SamplerConfig, trace
-from flowdpi.textfeat import (count_payload, fit_featurizer, stack_dense,
-                              tokenize, trigrams)
+from flowdpi.textfeat import (count_batch, fit_featurizer, stack_dense,
+                              tokenize)
 import reference
 from synth import (benign_payload, labeled_corpus, malicious_payload,
                    separable_blobs)
@@ -153,8 +153,12 @@ def test_c3_trigram_list():
         expected = ["/ja", "jav", "ava", "vas", "asc", "scr", "cri",
                     "rip", "ipt", "pt/", "t/d", "/de", "deb", "ebu",
                     "bug", "ug.", "g.e", ".ex", "exe"]
-        assert trigrams("/javascript/debug.exe") == expected
+        assert reference.trigrams("/javascript/debug.exe") == expected
         assert len(expected) == 19
+        # the package's counter finds the same tri-grams
+        corpus = tokenize(["/javascript/debug.exe"])
+        assert corpus.vocabulary == tuple(sorted(set(expected)))
+        assert corpus.totals.tolist() == [19]
 
 
 # --- C4: linguistic feature calibration -------------------------------
@@ -175,8 +179,8 @@ def test_c4_linguistic_calibration():
         assert a.as_tuple() == (9, 9, 19, 12, 12)
         assert b.as_tuple() == (0, 0, 15, 4, 6)
         # the package's counter gives the oracle's counts
-        assert count_payload(payload_a)[2] == a.as_tuple()
-        assert count_payload(payload_b)[2] == b.as_tuple()
+        counts = count_batch([payload_a, payload_b]).linguistic.tolist()
+        assert counts == [list(a.as_tuple()), list(b.as_tuple())]
 
 
 # --- C5: tf-idf oracle ------------------------------------------------
@@ -186,11 +190,12 @@ def _dense_tfidf(corpus, docs):
     def grams(s):
         return [s[i:i + 3] for i in range(len(s) - 2)]
 
-    vocab = sorted({g for doc in corpus for g in grams(doc)})
+    doc_grams = [set(grams(doc)) for doc in corpus]
+    vocab = sorted(set().union(*doc_grams))
     n = len(corpus)
     idf = []
     for g in vocab:
-        df = sum(1 for doc in corpus if g in grams(doc))
+        df = sum(1 for present in doc_grams if g in present)
         idf.append(math.log((1 + n) / (1 + df)) + 1.0)
     out = np.zeros((len(docs), len(vocab)))
     for r, doc in enumerate(docs):
@@ -218,7 +223,8 @@ def test_c5_tfidf_against_dense_oracle():
             dense = _dense_tfidf(corpus, docs)
             for r, doc in enumerate(docs):
                 vec = np.zeros(n_vocab)
-                for idx, value in featurizer.featurize(doc):
+                for idx, value in reference.row(featurizer.featurize(doc),
+                                                0):
                     if idx < n_vocab:   # the tri-gram block
                         vec[idx] = value
                 if dense.size:

@@ -86,8 +86,9 @@ class TestTrainPayload:
         hyper = logistic.LogisticHyper(lam=0.01, max_iters=300)
 
         def stack(featurizer, rows):
-            return reference.stack_dense([featurizer.featurize(payloads[i])
-                                          for i in rows], featurizer.dim)
+            return reference.stack_dense(
+                [reference.featurize(featurizer, payloads[i]) for i in rows],
+                featurizer.dim)
 
         def fit(rows, dense):
             featurizer = reference.fit_featurizer([payloads[i] for i in rows])
@@ -836,6 +837,52 @@ SWITCHES = {"strict", "count-blocking"}
 IN_RANGE = {"seed": "3", "lambda": "0.01", "lr": "0.5", "max-iters": "50",
             "k-folds": "3", "m": "50", "w-min": "4", "w-max": "10",
             "history": "5", "threshold": "0.5", "block-hit-count": "2"}
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("output", [
+    "payload model", "tree model", "eval report", "ROC curve", "PR curve",
+    "replay report", "actions csv", "sample trace"])
+def test_output_that_cannot_be_written_is_data_error(
+        output, where, corpus_file, flows_file, payload_model_file,
+        tree_model_file, tmp_path, capsys):
+    """An output path in a directory that does not exist, or that is a
+    directory, ends the command with a data error naming the output and
+    its path, not with a traceback."""
+    bad = tmp_path / "absent" / "out"
+    if where == "directory":
+        bad = tmp_path / "taken"
+        bad.mkdir()
+    ok = tmp_path / "ok"
+    ok.mkdir()
+    packets, blacklist = tmp_path / "packets.jsonl", tmp_path / "bl.txt"
+    packets.write_text(packet_to_json_line("10.1.0.1", 40000, "10.9.9.9",
+                                           80, "TCP", 1.0, "/a") + "\n")
+    blacklist.write_text("")
+    deltas = tmp_path / "deltas.csv"
+    deltas.write_text("delta\n0\n")
+
+    def replay(report, actions):
+        return ["replay", "--packets", packets, "--blacklist", blacklist,
+                "--payload-model", payload_model_file, "--report-out",
+                report, "--actions-out", actions]
+
+    evaluate = ["eval", payload_model_file, corpus_file, "--report-out"]
+    argv = {
+        "payload model": ["train-payload", corpus_file, bad,
+                          "--max-iters", "5"],
+        "tree model": ["train-encrypted", flows_file, bad],
+        "eval report": [*evaluate, bad],
+        "ROC curve": [*evaluate, ok / "r.json", "--roc-out", bad],
+        "PR curve": [*evaluate, ok / "r.json", "--pr-out", bad],
+        "replay report": replay(bad, ok / "a.csv"),
+        "actions csv": replay(ok / "r.json", bad),
+        "sample trace": ["sample-trace", deltas, "--output", bad],
+    }[output]
+    assert main(list(map(str, argv))) == 2
+    err = capsys.readouterr().err
+    assert f"data error: cannot write {output} {bad}: " in err
+    assert "Traceback" not in err
 
 
 def required_args(command, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from flowdpi import engine as engine_module
-from flowdpi import flows, logistic
+from flowdpi import flows, logistic, textfeat
 from flowdpi.blacklist import load_blacklist
 from flowdpi.encflow import parse_flow_row
 from flowdpi.engine import (Engine, EngineConfig, EngineConfigError,
@@ -19,8 +19,8 @@ from flowdpi.flows import (VerdictKind, VerdictReason, packet_from_json_line,
                            packet_to_json_line)
 from flowdpi.sampler import SamplerConfig
 from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
-                              count_payload, fit_featurizer, stack_dense,
-                              tokenize, trigrams)
+                              count_batch, fit_featurizer, stack_dense,
+                              tokenize)
 from flowdpi.tree import DecisionTreeModel, TreeNode
 from synth import benign_payload, labeled_corpus, malicious_payload
 
@@ -238,11 +238,11 @@ def _model_file(draw, fitted: Featurizer):
        st.lists(_packet_texts, max_size=6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
-    """A sampled packet is scored from its tri-gram counts, bit for bit
-    as the oracles and the batch path do: its counts are the oracle's,
-    its row is the oracle's ``featurize`` and its ``stack_dense`` row,
-    and its score is its ``predict_proba`` score in a batch.  ``unseen``
-    payloads bring tri-grams the vocabulary lacks."""
+    """A sampled packet is scored as a one-row batch, bit for bit as the
+    oracles and the batch path do: its ``count_batch`` counts are the
+    oracle's, its row is the oracle's ``featurize`` and its
+    ``stack_dense`` row, and its score is its ``predict_proba`` score in
+    a batch.  ``unseen`` payloads bring tri-grams the vocabulary lacks."""
     featurizer = fit_featurizer(tokenize(corpus))
     if data.draw(st.booleans()):
         featurizer = data.draw(_model_file(featurizer))
@@ -255,16 +255,14 @@ def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
     X = stack_dense(featurizer, tokenize(payloads))
     scores = logistic.predict_proba(model, X).tolist()
     for i, payload in enumerate(payloads):
-        grams, total, linguistic = count_payload(payload)
-        assert grams == Counter(trigrams(payload))
-        assert total == len(trigrams(payload))
-        assert linguistic == \
+        _, codes, totals, linguistic = count_batch([payload])
+        assert textfeat._unpack(codes) == reference.trigrams(payload)
+        assert totals.tolist() == [len(reference.trigrams(payload))]
+        assert tuple(linguistic[0].tolist()) == \
             reference.linguistic_features(payload).as_tuple()
-        row = featurizer.featurize(payload)
+        row = reference.row(featurizer.featurize(payload), 0)
         assert _bits(row) == _bits(reference.featurize(featurizer, payload))
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        assert _bits(row) == _bits(zip(X.indices[lo:hi].tolist(),
-                                       X.data[lo:hi].tolist()))
+        assert _bits(row) == _bits(reference.row(X, i))
         assert engine.score(payload).hex() == scores[i].hex()
 
 

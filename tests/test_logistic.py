@@ -35,7 +35,7 @@ class TestSigmoid:
             assert repr(sigmoid(v)) == repr(reference.sigmoid(v))
 
     def test_float_gives_the_bits_of_an_array(self):
-        """A float takes the scalar path; each must score as in an array."""
+        """A float gives a float, with the bits it has in an array."""
         edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0,
                  746.0, -746.0, math.inf, -math.inf]
         z = np.concatenate([edges, np.random.default_rng(3).normal(

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import reference
 from flowdpi import textfeat
 from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
-                              count_payload, fit_featurizer, stack_dense,
-                              tokenize, trigrams)
-from reference import LinguisticFeatures
+                              count_batch, fit_featurizer, stack_dense,
+                              tokenize)
+from reference import LinguisticFeatures, row, trigrams
 
 PAYLOAD_A = "/starnet/addons/slideshow_full.php?album_name=288150554"
 PAYLOAD_B = "/tests/numbertotexttest.php"
@@ -28,7 +28,8 @@ def tfidf_block(featurizer, payload):
     """The tri-gram entries of the payload's feature row, which must be
     the oracle's ``transform_tfidf`` pairs."""
     n_vocab = len(featurizer.tfidf.vocabulary)
-    block = [(i, v) for i, v in featurizer.featurize(payload) if i < n_vocab]
+    block = [(i, v) for i, v in row(featurizer.featurize(payload), 0)
+             if i < n_vocab]
     assert block == reference.transform_tfidf(featurizer.tfidf, payload)
     return block
 
@@ -36,7 +37,8 @@ def tfidf_block(featurizer, payload):
 def linguistic_features(payload):
     """The counter's five linguistic counts, which must be the oracle's."""
     oracle = reference.linguistic_features(payload)
-    assert count_payload(payload)[2] == oracle.as_tuple()
+    assert tuple(count_batch([payload]).linguistic[0].tolist()) == \
+        oracle.as_tuple()
     return oracle
 
 
@@ -208,35 +210,36 @@ class TestNormalization:
 class TestFeaturize:
     def test_linguistic_block_occupies_tail(self):
         f = fit(["/abc123", "/def456789"])
-        row = f.featurize("/abc123")
+        pairs = row(f.featurize("/abc123"), 0)
         n_vocab = len(f.tfidf.vocabulary)
         assert f.dim == n_vocab + 5
-        tail = [i for i, _ in row if i >= n_vocab]
-        for i, v in row:
+        tail = [i for i, _ in pairs if i >= n_vocab]
+        for i, v in pairs:
             if i >= n_vocab:
                 assert 0.0 <= v <= 1.0
         assert tail   # digits present, so at least one linguistic entry
 
     def test_empty_payload_has_no_trigram_entries(self):
         f = fit(["/abc123"])
-        row = f.featurize("")
-        assert all(i >= len(f.tfidf.vocabulary) for i, _ in row)
+        X = f.featurize("")
+        assert X.shape == (1, f.dim)
+        assert all(i >= len(f.tfidf.vocabulary) for i, _ in row(X, 0))
 
     def test_deterministic(self):
         f = fit(["/abc", "/def"])
-        assert f.featurize("/abc") == f.featurize("/abc")
+        assert row(f.featurize("/abc"), 0) == row(f.featurize("/abc"), 0)
 
     def test_order_independent_of_corpus_iteration(self):
         a = fit(["/abc", "/def"])
         b = fit(["/def", "/abc"])
         assert a.tfidf.vocabulary == b.tfidf.vocabulary
-        assert a.featurize("/abc") == b.featurize("/abc")
+        assert row(a.featurize("/abc"), 0) == row(b.featurize("/abc"), 0)
 
     def test_dense_oracle_equality(self):
         corpus = ["/abc123", "/def456", "/abcdef9"]
         f = fit(corpus)
         for payload in corpus:
-            dense = reference.to_dense(f.featurize(payload), f.dim)
+            dense = reference.dense(f.featurize(payload))[0]
             n_vocab = len(f.tfidf.vocabulary)
             _, oracle = _brute_force_tfidf(corpus, payload)
             assert np.allclose(dense[:n_vocab], oracle, atol=1e-12)
@@ -254,17 +257,20 @@ _texts = (st.text(alphabet=st.sampled_from("ab1/ é٣"), max_size=12)
           | st.text(max_size=12))
 
 
+def _bits(pairs):
+    return [(col, value.hex()) for col, value in pairs]
+
+
 def _assert_batch_rows(X, featurizer, payloads):
-    """Row r of ``X`` holds the entries of ``featurize(payloads[r])``, bit
-    for bit: columns strictly ascending, linguistic ones last, no zero."""
+    """Row r of ``X`` holds the oracle's ``featurize(payloads[r])``, bit
+    for bit, and so does the payload's one-row ``featurize``: columns
+    strictly ascending, linguistic ones last, no zero."""
     assert X.shape == (len(payloads), featurizer.dim)
     assert X.indptr[0] == 0 and X.indptr[-1] == X.data.shape[0]
     for r, payload in enumerate(payloads):
-        lo, hi = X.indptr[r], X.indptr[r + 1]
-        row = featurizer.featurize(payload)
-        assert X.indices[lo:hi].tolist() == [i for i, _ in row]
-        assert X.data[lo:hi].tobytes() == np.array([v for _, v in row],
-                                                   dtype=float).tobytes()
+        want = _bits(reference.featurize(featurizer, payload))
+        assert _bits(row(X, r)) == want
+        assert _bits(row(featurizer.featurize(payload), 0)) == want
     assert np.all(X.data != 0.0)
 
 
@@ -274,7 +280,7 @@ def _assert_batch_rows(X, featurizer, payloads):
 def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
     """Fitting on any rows of a tokenized corpus gives the featurizer the
     old string fit gives, and every ``stack_dense`` row is bit for bit the
-    payload's ``featurize(...)`` and, made dense, the dense oracle's row;
+    oracle's ``featurize(...)`` and, made dense, the dense oracle's row;
     ``unseen`` payloads, outside the fitted rows, bring tri-grams the
     vocabulary lacks."""
     payloads = corpus + unseen
@@ -288,7 +294,8 @@ def test_batch_path_matches_per_payload_featurize(corpus, unseen, data):
                               min_size=1, max_size=20))
     X = stack_dense(f, tokenized, rows)
     assert reference.dense(X).tobytes() == reference.stack_dense(
-        [f.featurize(payloads[i]) for i in rows], f.dim).tobytes()
+        [reference.featurize(f, payloads[i]) for i in rows],
+        f.dim).tobytes()
     _assert_batch_rows(X, f, [payloads[i] for i in rows])
     if unseen:   # a corpus tokenized apart from the fit, as in eval
         _assert_batch_rows(stack_dense(f, tokenize(unseen)), f, unseen)
@@ -317,8 +324,7 @@ def _assert_same_corpus(got, expected):
 @settings(max_examples=300, deadline=None)
 def test_packed_counter_matches_the_per_payload_counter(corpus, packets):
     """``tokenize`` gives the corpus of the per-payload counter, and
-    ``featurize_batch`` gives each payload's ``featurize`` row, bit for
-    bit."""
+    ``featurize_batch`` gives each payload's oracle row, bit for bit."""
     tokenized = tokenize(corpus)
     _assert_same_corpus(tokenized, reference.tokenize(corpus))
     if corpus:
@@ -360,7 +366,7 @@ def test_batch_rows_sorted_under_any_vocabulary_numbering():
     ({"abc": 0}, (1.0, 1.0)),               # idf too long
 ])
 def test_featurizer_rejects_bad_vocabulary(vocabulary, idf):
-    """The packet path indexes lists by column, so the columns must be
+    """The featurizer indexes arrays by column, so the columns must be
     0..|V|-1 with one idf weight each; a bad model fails when built."""
     with pytest.raises(ValueError):
         Featurizer(TfIdfModel(vocabulary, idf, 2),
@@ -382,4 +388,4 @@ def test_featurizer_persistence_round_trip(tmp_path):
     assert g.tfidf.vocabulary == f.tfidf.vocabulary
     assert g.tfidf.idf == f.tfidf.idf        # bit-exact floats
     assert g.norm == f.norm
-    assert g.featurize(PAYLOAD_A) == f.featurize(PAYLOAD_A)
+    assert row(g.featurize(PAYLOAD_A), 0) == row(f.featurize(PAYLOAD_A), 0)
