@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import logistic, metrics, persistence, tree
 from .blacklist import load_blacklist
-from .encflow import FlowRowError, encode, read_flow_csv
+from .encflow import FlowRowError, encode_all, read_flow_csv
 from .engine import (Engine, EngineConfig, EngineConfigError,
                      ReplayDataError, write_actions_csv)
 from .flows import (FlowParseError, labeled_payload_from_json_line,
@@ -244,18 +245,24 @@ def _read_labeled_corpus(path: Path):
 
 
 def _read_labeled_flows(path: Path):
-    X, y = [], []
-    with _read_lines(path, "flow csv") as lines:
-        for record in read_flow_csv(lines):
+    """A labeled flow CSV's rows, encoded as they are read, and labels."""
+    labels = []
+
+    def records(lines):
+        # one record or error per data row, from row 1
+        for row_no, record in enumerate(read_flow_csv(lines), start=1):
             if isinstance(record, FlowRowError):
                 raise DataError(f"{path}: {record}") from record
             if record.label is None:
-                raise DataError(f"{path}: unlabeled row in training data")
-            X.append(encode(record))
-            y.append(record.label)
-    if not X:
+                raise DataError(f"{path}: row {row_no}: no label")
+            labels.append(record.label)
+            yield record
+
+    with _read_lines(path, "flow csv") as lines:
+        X = encode_all(records(lines))
+    if not labels:
         raise DataError(f"{path}: no flow rows")
-    return np.array(X), np.array(y, dtype=int)
+    return X, np.array(labels, dtype=int)
 
 
 def _print_cv_table(fold_metrics: list[metrics.Metrics]) -> None:
@@ -320,20 +327,30 @@ def cmd_train_encrypted(args) -> int:
     return EXIT_OK
 
 
-def _write_json(path: Path, what: str, doc: dict) -> None:
-    with _writing(what, path), open(path, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp, indent=1)
-        fp.write("\n")
+def _write_outputs(*outputs: tuple[str, Path, Callable]) -> None:
+    """Open every (what, path, write) output, then write each: one that
+    cannot be opened leaves no fresh report beside stale curves."""
+    with contextlib.ExitStack() as stack:
+        files = []
+        for what, path, _ in outputs:
+            with _writing(what, path):
+                files.append(stack.enter_context(
+                    open(path, "w", encoding="utf-8", newline="")))
+        for (what, path, write), fp in zip(outputs, files):
+            with _writing(what, path), fp:
+                write(fp)
 
 
-def _write_curve_csv(path: Path, what: str, header: tuple[str, str, str],
-                     points) -> None:
-    with _writing(what, path), open(path, "w", encoding="utf-8",
-                                    newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(header)
-        for thr, x, yv in points:
-            writer.writerow([repr(thr), repr(x), repr(yv)])
+def _write_json(doc: dict, fp) -> None:
+    json.dump(doc, fp, indent=1)
+    fp.write("\n")
+
+
+def _write_curve_csv(header: tuple[str, str, str], points, fp) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(header)
+    for thr, x, yv in points:
+        writer.writerow([repr(thr), repr(x), repr(yv)])
 
 
 def cmd_eval(args) -> int:
@@ -351,13 +368,15 @@ def cmd_eval(args) -> int:
         raise persistence.ModelFormatError(
             f"unknown model schema {schema!r}")
     report = metrics.evaluate(y, scores, threshold=args.threshold)
-    _write_json(args.report_out, "eval report", report.to_dict())
     roc_out = args.roc_out or args.report_out.with_suffix(".roc.csv")
     pr_out = args.pr_out or args.report_out.with_suffix(".pr.csv")
-    _write_curve_csv(roc_out, "ROC curve", ("threshold", "fpr", "tpr"),
-                     report.roc_points)
-    _write_curve_csv(pr_out, "PR curve", ("threshold", "recall", "precision"),
-                     report.pr_points)
+    _write_outputs(
+        ("eval report", args.report_out, partial(_write_json,
+                                                 report.to_dict())),
+        ("ROC curve", roc_out, partial(_write_curve_csv, (
+            "threshold", "fpr", "tpr"), report.roc_points)),
+        ("PR curve", pr_out, partial(_write_curve_csv, (
+            "threshold", "recall", "precision"), report.pr_points)))
     m = report.metrics
     auc = "n/a" if report.auc is None else f"{report.auc:.6f}"
     print(f"accuracy={m.accuracy:.6f} precision={m.precision:.6f} "
@@ -393,10 +412,11 @@ def cmd_replay(args) -> int:
                                        strict=args.strict)
         except ReplayDataError as exc:
             raise DataError(str(exc)) from exc
-    _write_json(args.report_out, "replay report", report.to_dict())
-    with _writing("actions csv", args.actions_out), \
-            open(args.actions_out, "w", encoding="utf-8", newline="") as fp:
-        write_actions_csv(report, fp)
+    _write_outputs(
+        ("replay report", args.report_out, partial(_write_json,
+                                                   report.to_dict())),
+        ("actions csv", args.actions_out, partial(write_actions_csv,
+                                                  report)))
     print(f"flows={report.flows_seen} packets={report.packets_seen} "
           f"sampled={report.packets_sampled} "
           f"blacklist_blocks={report.blacklist_blocks} "

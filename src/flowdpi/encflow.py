@@ -183,18 +183,24 @@ def read_flow_csv(lines: Iterable[str]
 N_ENCODED = 8
 
 
-def encode(record: EncryptedFlowRecord) -> np.ndarray:
-    """Dense 8-component vector: [tls ordinal, ttl, duration, src_port,
-    dst_port, well_known_src, well_known_dst, packets_per_second]."""
+def _features(record: EncryptedFlowRecord) -> tuple[float, ...]:
+    # Python floats: a rate past the largest float is inf, with no warning
     rate = ((record.fwd_packets + record.bwd_packets)
             / max(record.duration, RATE_EPSILON))
-    return np.array([
-        float(record.tls_version.value),
-        float(record.ttl),
-        record.duration,
-        float(record.src_port),
-        float(record.dst_port),
-        1.0 if record.src_port < 1024 else 0.0,
-        1.0 if record.dst_port < 1024 else 0.0,
-        rate,
-    ])
+    return (float(record.tls_version.value), float(record.ttl),
+            record.duration, float(record.src_port), float(record.dst_port),
+            1.0 if record.src_port < 1024 else 0.0,
+            1.0 if record.dst_port < 1024 else 0.0, rate)
+
+
+def encode_all(records: Iterable[EncryptedFlowRecord]) -> np.ndarray:
+    """One row per record, read one at a time: [tls ordinal, ttl,
+    duration, src_port, dst_port, well_known_src, well_known_dst,
+    packets_per_second]."""
+    return np.fromiter(map(_features, records),
+                       dtype=np.dtype((float, N_ENCODED)))
+
+
+def encode(record: EncryptedFlowRecord) -> np.ndarray:
+    """One record's row of ``encode_all``."""
+    return encode_all((record,))[0]

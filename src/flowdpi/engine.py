@@ -11,7 +11,8 @@ of the next ``SCORE_BATCH`` would be sampled, scores them together and
 then processes the packets one at a time, in order, reading the scores.
 A sampled packet the plan missed is scored on its own, as a one-row
 batch through the same ``Featurizer.featurize_batch`` and
-``logistic.predict_proba``.
+``logistic.predict_proba``.  Flow rows are classified in chunks of
+``SCORE_BATCH``, each encoded into one array that descends the tree once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterable, Optional
 
 from . import logistic, tree
 from .blacklist import Blacklist, check_flow
-from .encflow import EncryptedFlowRecord, FlowRowError, encode, read_flow_csv
+from .encflow import (EncryptedFlowRecord, FlowRowError, encode_all,
+                      read_flow_csv)
 from .flows import (Direction, FlowKey, FlowParseError, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, packet_from_json_line)
 from .sampler import AdaptiveSampler, SamplerConfig, advance
@@ -259,19 +261,20 @@ class Engine:
         finally:
             self._scores = {}
 
-    def process_encrypted_flow(self,
-                               record: EncryptedFlowRecord) -> Verdict:
+    def process_encrypted_flows(self,
+                                records: list[EncryptedFlowRecord]) -> None:
+        """Classify encrypted flows from their metadata in one tree
+        descent, and block each flow of class 1."""
         if self.tree_model is None:
             raise EngineConfigError(
                 "encrypted-flow classification requires a tree model")
-        self.report.encrypted_flows += 1
-        klass, proba = tree.predict_one(self.tree_model, encode(record))
-        if klass == 1:
-            return self._emit(Verdict(VerdictKind.BLOCK, record.flow,
-                                      VerdictReason.ENCRYPTED_CLASSIFIER,
-                                      proba))
-        return Verdict(VerdictKind.PASS, record.flow,
-                       VerdictReason.ENCRYPTED_CLASSIFIER, proba)
+        self.report.encrypted_flows += len(records)
+        leaves = tree.leaf_nodes(self.tree_model, encode_all(records))
+        for record, leaf in zip(records, leaves):
+            if leaf.klass == 1:
+                self._emit(Verdict(VerdictKind.BLOCK, record.flow,
+                                   VerdictReason.ENCRYPTED_CLASSIFIER,
+                                   leaf.proba))
 
     def _reject(self, message: str, strict: bool) -> None:
         if strict:
@@ -293,9 +296,10 @@ class Engine:
         once, in arrival order, never dropped.  Packets let go wait in
         arrival order until ``SCORE_BATCH`` of them are processed as one
         batch, so a replay holds at most ``REORDER_WINDOW +
-        SCORE_BATCH`` packets.  Malformed records, late packets and the
-        lines the blacklist could not read are reported with their line
-        numbers; strict mode aborts on the first instead."""
+        SCORE_BATCH`` packets; flow rows wait the same way, up to a bad
+        row.  Malformed records, late packets and the lines the blacklist
+        could not read are reported with their line numbers; strict mode
+        aborts on the first instead."""
         if flow_lines is not None and self.tree_model is None:
             raise EngineConfigError(
                 "flow stream given but no tree model loaded")
@@ -333,9 +337,16 @@ class Engine:
         for start in range(0, len(pending), batch):
             self._process_batch(pending[start:start + batch])
         if flow_lines is not None:
+            chunk = []
             for record in read_flow_csv(flow_lines):
                 if isinstance(record, FlowRowError):
+                    self.process_encrypted_flows(chunk)
+                    chunk = []
                     self._reject(f"flow csv: {record}", strict)
-                else:
-                    self.process_encrypted_flow(record)
+                    continue
+                chunk.append(record)
+                if len(chunk) == batch:
+                    self.process_encrypted_flows(chunk)
+                    chunk = []
+            self.process_encrypted_flows(chunk)
         return self.report

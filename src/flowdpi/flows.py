@@ -326,7 +326,6 @@ def labeled_payload_from_json_line(line: str) -> LabeledPayload:
 
 
 class VerdictKind(Enum):
-    PASS = "pass"
     ALERT = "alert"
     BLOCK = "block"
 

@@ -5,8 +5,9 @@ tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
-``count_batch`` counts the tri-grams and linguistic features of a list
-of payloads at once with numpy, each tri-gram packed into one integer.
+``count_batch`` is the one counter of tri-grams and linguistic features:
+it counts a list of payloads at once with numpy, each tri-gram packed
+into one integer.
 Training and evaluation work on a whole corpus: ``tokenize`` counts it,
 ``fit_featurizer`` fits on any subset of its rows from those counts,
 and ``stack_dense`` builds the ``FeatureBatch`` of any subset.  Replay
@@ -18,7 +19,6 @@ one-row batch of a single payload.  Every path gives the same bits.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -28,25 +28,6 @@ import numpy as np
 
 N_LINGUISTIC = 5
 
-_DIGITS = frozenset("0123456789")
-_VOWELS = frozenset("aeiou")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
-_DIGIT_RUNS = re.compile("[0-9]{2,}")
-_CONSONANT_RUNS = re.compile("[bcdfghjklmnpqrstvwxyz]{2,}")   # 'y' too
-
-
-def _linguistic(payload: str) -> tuple[int, ...]:
-    """The five linguistic counts of a payload's lower-case form, ASCII
-    only: digits, digits in runs of two or more, consonants in runs of
-    two or more, letters that occur more than once, and vowels."""
-    low = payload.lower()
-    letters = _LETTERS.intersection(low)
-    return (sum(map(low.count, _DIGITS.intersection(low))),
-            sum(map(len, _DIGIT_RUNS.findall(low))),
-            sum(map(len, _CONSONANT_RUNS.findall(low))),
-            sum([low.count(c) > 1 for c in letters]),
-            sum(map(low.count, _VOWELS.intersection(letters))))
-
 
 # a tri-gram as one int64: its code points (each below 2**21) packed as
 # c0 << 42 | c1 << 21 | c2, below 2**63, which sorts as the tri-gram
@@ -54,23 +35,12 @@ def _linguistic(payload: str) -> tuple[int, ...]:
 _BITS = 21
 _MASK = (1 << _BITS) - 1
 
-_DIGIT, _VOWEL, _CONSONANT = 1, 2, 4
-
-
-def _ascii_classes() -> tuple[np.ndarray, np.ndarray]:
-    """By ASCII code, the class ``_linguistic`` puts a character in and
-    its letter as 0..25 (-1: not a letter), upper case as lower case."""
-    classes = np.zeros(128, dtype=np.uint8)
-    letters = np.full(128, -1, dtype=np.intp)
-    classes[ord("0"):ord("9") + 1] = _DIGIT
-    for i, c in enumerate(sorted(_LETTERS)):
-        for code in (ord(c), ord(c.upper())):
-            classes[code] = _VOWEL if c in _VOWELS else _CONSONANT
-            letters[code] = i
-    return classes, letters
-
-
-_CLASS, _LETTER_INDEX = _ascii_classes()
+# by ASCII code, the class of a character of lower-case text
+_DIGIT, _VOWEL, _CONSONANT = 1, 2, 3
+_CLASS = np.zeros(128, dtype=np.uint8)
+_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_CLASS[ord("a"):ord("z") + 1] = _CONSONANT   # 'y' too
+_CLASS[[ord(c) for c in "aeiou"]] = _VOWEL
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -121,7 +91,7 @@ class BatchCounts(NamedTuple):
     """The counts of ``n`` payloads: ``codes`` holds every tri-gram of
     every payload, packed, in order, and ``owner`` the payload each
     belongs to; ``totals`` (the number of tri-grams) and ``linguistic``
-    (the five counts of ``_linguistic``) are by payload."""
+    (the five linguistic counts) are by payload."""
     owner: np.ndarray
     codes: np.ndarray
     totals: np.ndarray
@@ -131,14 +101,12 @@ class BatchCounts(NamedTuple):
 def count_batch(payloads: Sequence[str]) -> BatchCounts:
     """The counts of each payload, by numpy over all of them: the
     payloads are joined with a NUL after each, which no tri-gram and no
-    run of digits or consonants may cross.  ``str.lower`` can turn a
-    non-ASCII character into ASCII letters (the Kelvin sign into "k"),
-    so the linguistic counts of a payload that is not ASCII are
-    ``_linguistic``'s."""
+    run of digits or consonants may cross.  The linguistic counts (ASCII
+    only) are those of the ``str.lower`` forms, which may be longer (U+0130
+    lowers to "i" and a dot) or hold ASCII letters (the Kelvin sign: "k")."""
     n = len(payloads)
     lengths = np.fromiter(map(len, payloads), dtype=np.intp, count=n)
-    text = "\0".join([*payloads, ""])
-    chars = _code_points(text)
+    chars = _code_points("\0".join([*payloads, ""]))
     ends = np.cumsum(lengths + 1) - 1
     # tri-gram i starts at char i; the ones that hold a NUL end are out
     cut = np.zeros(chars.shape[0], dtype=bool)
@@ -148,25 +116,20 @@ def count_batch(payloads: Sequence[str]) -> BatchCounts:
     totals = np.maximum(lengths - 2, 0).astype(np.int64)
     owner = np.repeat(np.arange(n), totals)
 
-    ascii_chars = np.minimum(chars, 127)
-    cls = _CLASS[ascii_chars]
-    letter = _LETTER_INDEX[ascii_chars]
-    char_owner = np.repeat(np.arange(n), lengths + 1)
-    digit = (cls & _DIGIT).astype(bool)
-    consonant = (cls & _CONSONANT).astype(bool)
-    is_letter = letter >= 0
-    per_letter = np.bincount(char_owner[is_letter] * 26 + letter[is_letter],
-                             minlength=26 * n).reshape(n, 26)
+    lows = [payload.lower() for payload in payloads]
+    chars = _code_points("\0".join([*lows, ""]))
+    char_owner = np.repeat(np.arange(n), [len(low) + 1 for low in lows])
+    cls = _CLASS[np.minimum(chars, 127)]
+    digit, consonant = cls == _DIGIT, cls == _CONSONANT
+    letter = cls >= _VOWEL   # a vowel or a consonant: a..z
+    per_letter = np.bincount(
+        char_owner[letter] * 26 + (chars[letter] - ord("a")),
+        minlength=26 * n).reshape(n, 26)
     linguistic = np.empty((n, N_LINGUISTIC), dtype=np.int64)
     for j, flags in enumerate((digit, _in_runs(digit), _in_runs(consonant))):
         linguistic[:, j] = np.bincount(char_owner[flags], minlength=n)
     linguistic[:, 3] = np.count_nonzero(per_letter > 1, axis=1)
-    linguistic[:, 4] = np.bincount(char_owner[(cls & _VOWEL).astype(bool)],
-                                   minlength=n)
-    if not text.isascii():
-        for i, payload in enumerate(payloads):
-            if not payload.isascii():
-                linguistic[i] = _linguistic(payload)
+    linguistic[:, 4] = np.bincount(char_owner[cls == _VOWEL], minlength=n)
     return BatchCounts(owner, codes, totals, linguistic)
 
 

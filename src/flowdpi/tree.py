@@ -173,19 +173,6 @@ def train(X, y, hyper: TreeHyper = TreeHyper()) -> DecisionTreeModel:
                              hyper.min_samples_split)
 
 
-def predict_one(model: DecisionTreeModel, x) -> tuple[int, float]:
-    """Descend root-to-leaf; returns (class, leaf P(class 1))."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.n_features:
-        raise ValueError(f"feature dimension mismatch: "
-                         f"{x.shape[0]} != {model.n_features}")
-    node = model.nodes[0]
-    while not node.is_leaf:
-        node = model.nodes[node.left if x[node.feature] <= node.threshold
-                           else node.right]
-    return node.klass, node.proba
-
-
 def _leaves(model: DecisionTreeModel, X) -> np.ndarray:
     """Leaf index of every row, descending all rows one level per step;
     children always follow their parent, so this ends."""
@@ -203,6 +190,17 @@ def _leaves(model: DecisionTreeModel, X) -> np.ndarray:
         at = node[rows]
         node[rows] = np.where(X[rows, feature[at]] <= threshold[at],
                               left[at], right[at])
+
+
+def leaf_nodes(model: DecisionTreeModel, X) -> list[TreeNode]:
+    """The leaf node each row of ``X`` reaches, in order."""
+    return [model.nodes[i] for i in _leaves(model, X).tolist()]
+
+
+def predict_one(model: DecisionTreeModel, x) -> tuple[int, float]:
+    """(class, leaf P(class 1)) of one row: a one-row ``leaf_nodes``."""
+    [leaf] = leaf_nodes(model, [x])
+    return leaf.klass, leaf.proba
 
 
 def predict(model: DecisionTreeModel, X) -> np.ndarray:

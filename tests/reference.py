@@ -23,8 +23,11 @@ linguistic features with ``linguistic_features``, and builds the
 The replay order: ``sorted_replay`` is the replay that parsed every
 packet line and processed the packets in a stable sort by timestamp,
 ``streamed_replay`` is the replay that processed (and so scored) each
-packet as the reorder window let it go, and ``reorder`` is the reorder
-window as a sorted list.
+packet as the reorder window let it go and classified each flow row as
+it was read, and ``reorder`` is the reorder window as a sorted list.
+
+The tree descent that ``tree._leaves`` replaced: ``predict_one`` walks
+one row from the root to its leaf a node at a time.
 
 The summation order that defines a score and a gradient, in plain
 Python: ``segment_sum`` is ``S``, ``margins`` and ``gradient`` apply it
@@ -47,8 +50,8 @@ from typing import Iterable
 import numpy as np
 
 from flowdpi import engine as engine_module
-from flowdpi import flows, logistic
-from flowdpi.encflow import FlowRowError, read_flow_csv
+from flowdpi import flows, logistic, tree
+from flowdpi.encflow import FlowRowError, encode, read_flow_csv
 from flowdpi.textfeat import (N_LINGUISTIC, FeatureBatch, Featurizer,
                               NormalizationParams, TfIdfModel,
                               TokenizedCorpus)
@@ -434,9 +437,28 @@ def streamed_replay(engine, packet_lines, flow_lines=None):
     for record in read_flow_csv(flow_lines or ()):
         if isinstance(record, FlowRowError):
             engine.report.errors.append(f"flow csv: {record}")
-        else:
-            engine.process_encrypted_flow(record)
+            continue
+        engine.report.encrypted_flows += 1
+        klass, proba = predict_one(engine.tree_model, encode(record))
+        if klass == 1:
+            engine.report.actions.append(flows.Verdict(
+                flows.VerdictKind.BLOCK, record.flow,
+                flows.VerdictReason.ENCRYPTED_CLASSIFIER, proba))
+            engine.report.classifier_blocks += 1
     return engine.report
+
+
+def predict_one(model: tree.DecisionTreeModel, x) -> tuple[int, float]:
+    """Descend root-to-leaf; returns (class, leaf P(class 1))."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != model.n_features:
+        raise ValueError(f"feature dimension mismatch: "
+                         f"{x.shape[0]} != {model.n_features}")
+    node = model.nodes[0]
+    while not node.is_leaf:
+        node = model.nodes[node.left if x[node.feature] <= node.threshold
+                           else node.right]
+    return node.klass, node.proba
 
 
 def reorder(timestamps, window: int):

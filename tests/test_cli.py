@@ -233,13 +233,22 @@ class TestTrainEncrypted:
         assert persistence.peek_schema(out) == persistence.TREE_SCHEMA
         assert "mean" in capsys.readouterr().out
 
-    def test_unlabeled_rows_are_data_error(self, tmp_path):
-        rows = flow_csv_rows(np.random.default_rng(0), 5, 5,
-                             with_label=False)
-        path = tmp_path / "flows.csv"
-        path.write_text("\n".join(rows) + "\n")
-        assert main(["train-encrypted", str(path),
-                     str(tmp_path / "t.json")]) == 2
+    def test_unlabeled_rows_are_data_error(self, tree_model_file, tmp_path,
+                                           capsys):
+        # no label column, and an empty label in row 4
+        unlabeled = flow_csv_rows(np.random.default_rng(0), 5, 5,
+                                  with_label=False)
+        labeled = flow_csv_rows(np.random.default_rng(0), 5, 5)
+        labeled[4] = labeled[4].rsplit(",", 1)[0] + ","
+        for rows, row_no in ((unlabeled, 1), (labeled, 4)):
+            path = tmp_path / "flows.csv"
+            path.write_text("\n".join(rows) + "\n")
+            for argv in (["train-encrypted", path, tmp_path / "t.json"],
+                         ["eval", tree_model_file, path, "--report-out",
+                          tmp_path / "r.json"]):
+                assert main(list(map(str, argv))) == 2
+                assert (f"data error: {path}: row {row_no}: no label"
+                        in capsys.readouterr().err)
 
     def test_port_with_a_separator_is_data_error(self, tmp_path, capsys):
         rows = flow_csv_rows(np.random.default_rng(0), 5, 5)
@@ -285,6 +294,32 @@ class TestTrainEncrypted:
         assert main([command, *map(str, args)]) == 2
         assert (f"data error: {path}: row 3: {reason}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_past_the_largest_float_is_accepted(
+            self, payload_model_file, tmp_path, capsys):
+        """A zero-duration row whose packet count nears the largest float
+        has an infinite rate; every command that reads flows takes it."""
+        rows = flow_csv_rows(np.random.default_rng(6), 20, 10)
+        fields = rows[5].split(",")
+        fields[7:10] = ["0", str(int(sys.float_info.max) - 10), "5"]
+        rows[5] = ",".join(fields)
+        flows, tree_out = tmp_path / "flows.csv", tmp_path / "tree.json"
+        flows.write_text("\n".join(rows) + "\n")
+        packets, blacklist = tmp_path / "p.jsonl", tmp_path / "bl.txt"
+        packets.write_text("")
+        blacklist.write_text("")
+        for argv in (
+                ["train-encrypted", flows, tree_out],
+                ["eval", tree_out, flows, "--report-out", tmp_path / "e.json"],
+                ["replay", "--packets", packets, "--blacklist", blacklist,
+                 "--payload-model", payload_model_file, "--flows", flows,
+                 "--tree-model", tree_out, "--report-out",
+                 tmp_path / "r.json", "--actions-out", tmp_path / "a.csv"]):
+            assert main(list(map(str, argv))) == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["encrypted_flows"] == 30 and report["errors"] == []
+
 
 class TestEval:
     def test_payload_model_report_and_curves(self, payload_model_file,
@@ -879,10 +914,16 @@ def test_output_that_cannot_be_written_is_data_error(
         "actions csv": replay(ok / "r.json", bad),
         "sample trace": ["sample-trace", deltas, "--output", bad],
     }[output]
+    report = ok / "r.json"
+    report.write_text("stale")
     assert main(list(map(str, argv))) == 2
     err = capsys.readouterr().err
     assert f"data error: cannot write {output} {bad}: " in err
     assert "Traceback" not in err
+    # every output opens before any is written: a report beside an output
+    # that cannot be written holds nothing new
+    if output in ("ROC curve", "PR curve", "actions csv"):
+        assert report.read_text() == ""
 
 
 def required_args(command, tmp_path):

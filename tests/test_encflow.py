@@ -1,11 +1,12 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from flowdpi.encflow import (EncryptedFlowRecord, FlowRowError, TlsVersion,
-                             encode, parse_flow_row, parse_tls_version,
-                             read_flow_csv)
+                             encode, encode_all, parse_flow_row,
+                             parse_tls_version, read_flow_csv)
 from synth import flow_csv_rows
 
 GOOD_ROW = {
@@ -144,6 +145,24 @@ def test_encode_zero_duration_finite():
     vec = encode(record)
     assert np.isfinite(vec).all()
     assert vec[7] == pytest.approx(20 / 1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rate_past_the_largest_float_encodes_as_inf():
+    fwd = str(int(sys.float_info.max) - 10)
+    record = parse_flow_row(dict(GOOD_ROW, duration="0", fwd_pkts=fwd), 1)
+    vec = encode(record)
+    assert vec[7] == np.inf and np.isfinite(vec[:7]).all()
+    assert encode_all([record]).tolist() == [vec.tolist()]
+
+
+def test_encode_all_is_encode_row_by_row():
+    records = list(read_flow_csv(
+        flow_csv_rows(np.random.default_rng(4), 30, 20)))
+    X = encode_all(iter(records))   # read as it goes
+    assert X.shape == (50, 8) and X.dtype == float
+    assert X.tolist() == [encode(r).tolist() for r in records]
+    assert encode_all([]).shape == (0, 8)
 
 
 def test_encode_unknown_version_sentinel():

@@ -22,7 +22,8 @@ from flowdpi.textfeat import (Featurizer, NormalizationParams, TfIdfModel,
                               count_batch, fit_featurizer, stack_dense,
                               tokenize)
 from flowdpi.tree import DecisionTreeModel, TreeNode
-from synth import benign_payload, labeled_corpus, malicious_payload
+from synth import (benign_payload, flow_csv_rows, labeled_corpus,
+                   malicious_payload)
 
 SEED = 42
 
@@ -273,11 +274,14 @@ def test_process_encrypted_flow_paths(payload_classifier, hand_tree):
            "duration": "1.0", "fwd_pkts": "5", "bwd_pkts": "5"}
     benign = parse_flow_row(dict(row, ttl="64"), 1)
     botnet = parse_flow_row(dict(row, ttl="128"), 2)
-    assert engine.process_encrypted_flow(benign).kind is VerdictKind.PASS
-    verdict = engine.process_encrypted_flow(botnet)
-    assert verdict.kind is VerdictKind.BLOCK
+    engine.process_encrypted_flows([benign, botnet])
+    engine.process_encrypted_flows([])
+    [verdict] = engine.report.actions   # the benign flow passes
+    assert verdict.kind is VerdictKind.BLOCK and verdict.flow == botnet.flow
     assert verdict.reason is VerdictReason.ENCRYPTED_CLASSIFIER
     assert verdict.score == 1.0
+    assert engine.report.encrypted_flows == 2
+    assert engine.report.classifier_blocks == 1
 
 
 def test_encrypted_flow_without_tree_is_config_error(payload_classifier,
@@ -288,7 +292,7 @@ def test_encrypted_flow_without_tree_is_config_error(payload_classifier,
            "ttl": "64", "duration": "1.0", "fwd_pkts": "5", "bwd_pkts": "5"}
     record = parse_flow_row(row, 1)
     with pytest.raises(EngineConfigError):
-        engine.process_encrypted_flow(record)
+        engine.process_encrypted_flows([record])
     with pytest.raises(EngineConfigError):
         engine.run_replay([], flow_lines=["header"])
 
@@ -713,3 +717,41 @@ def test_window_grown_by_hits_falls_back_to_engine_score(
     assert got == expected
     _assert_scored_once(sampled, planned, fallback)
     assert sampled and (fallback == []) == first_hit
+
+
+@pytest.mark.parametrize("bad", [(257,), (256, 258), (1, 255, 514)])
+def test_flow_rows_in_chunks_give_the_per_row_replay(payload_classifier,
+                                                     hand_tree, bad):
+    """More than ``SCORE_BATCH`` flow rows, with bad rows beside a chunk's
+    edge: the replay holds at most ``SCORE_BATCH`` records and reports
+    what the per-row replay does; strict, it stops at the first bad row
+    with the report of the rows before it."""
+    rows = flow_csv_rows(np.random.default_rng(5), 400, 300)
+    for row_no in bad:
+        fields = rows[row_no].split(",")
+        fields[6] = "300"   # ttl
+        rows[row_no] = ",".join(fields)
+    packets = stream("10.0.9.1", ["/a", "/b"])
+
+    def engine():
+        return make_engine(payload_classifier, (), hand_tree)
+
+    chunked = engine()
+    chunks, process = [], chunked.process_encrypted_flows
+
+    def spy(records):
+        chunks.append(len(records))
+        return process(records)
+
+    chunked.process_encrypted_flows = spy
+    assert _replay_bytes(chunked.run_replay(packets, rows)) == _replay_bytes(
+        reference.streamed_replay(engine(), packets, rows))
+    assert max(chunks) == engine_module.SCORE_BATCH
+    assert sum(chunks) == 700 - len(bad)
+
+    strict = engine()
+    with pytest.raises(ReplayDataError,
+                       match=f"^flow csv: row {bad[0]}: ttl out of range"):
+        strict.run_replay(packets, rows, strict=True)
+    assert _replay_bytes(strict.report) == _replay_bytes(
+        reference.streamed_replay(engine(), packets, rows[:bad[0]]))

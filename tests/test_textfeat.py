@@ -333,6 +333,20 @@ def test_packed_counter_matches_the_per_payload_counter(corpus, packets):
                            packets + corpus)
 
 
+@given(st.lists(st.text(alphabet=st.sampled_from(
+    ["a", "K", "s", "y", "7", " ", "\u212a", "\u0130", "\u00df", "\ud800",
+     "\x00"]), max_size=8), min_size=1, max_size=12))
+@example(["K\u212ak", "\u0130i\u0130", "ss\u00dfS", "a\ud800a", "77\x0077",
+          "plain ascii 42"])
+@settings(max_examples=300, deadline=None)
+def test_count_batch_counts_each_payload_lowered(payloads):
+    """In a batch that mixes ASCII with characters that lower to ASCII
+    letters, to two characters or not at all, each row holds the
+    oracle's linguistic counts of its payload."""
+    assert count_batch(payloads).linguistic.tolist() == [
+        list(reference.linguistic_features(p).as_tuple()) for p in payloads]
+
+
 def test_featurize_batch_skips_vocabulary_keys_that_are_not_trigrams():
     """A model file may hold keys of any length; only tri-grams match."""
     f = Featurizer(TfIdfModel({"ab": 0, "abc": 1, "abcd": 2, "": 3},

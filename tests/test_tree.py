@@ -1,7 +1,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from flowdpi import tree
 from flowdpi.tree import (DecisionTreeModel, TreeHyper, TreeNode, predict,
                           predict_one, predict_proba, train)
@@ -242,7 +245,7 @@ class TestPredict:
                 row[node.feature] = node.threshold
                 on_threshold.append(row)
         rows = np.vstack([X, rng.normal(size=(100, 3)), on_threshold])
-        expected = [predict_one(model, row) for row in rows]
+        expected = [reference.predict_one(model, row) for row in rows]
         assert predict(model, rows).tolist() == [k for k, _ in expected]
         assert predict_proba(model, rows).tolist() == [p for _, p in expected]
 
@@ -253,3 +256,47 @@ class TestPredict:
         model = train(X, y, TreeHyper(max_depth=3))
         probs = predict_proba(model, X)
         assert np.all((0.0 <= probs) & (probs <= 1.0))
+
+
+# a few values, so that rows often sit exactly on a threshold
+_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _trees_and_rows(draw):
+    """A random well-formed tree and rows of its width: any floats, inf
+    and nan included, mixed with its threshold values."""
+    n_features = draw(st.integers(1, 4))
+    nodes = []
+
+    def grow(depth):
+        at = len(nodes)
+        if depth == 0 or draw(st.booleans()):
+            nodes.append(TreeNode(klass=draw(st.integers(0, 1)),
+                                  proba=draw(st.floats(0.0, 1.0))))
+            return at
+        nodes.append(None)
+        feature = draw(st.integers(0, n_features - 1))
+        threshold = draw(_VALUES)
+        left = grow(depth - 1)
+        nodes[at] = TreeNode(feature=feature, threshold=threshold, left=left,
+                             right=grow(depth - 1))
+        return at
+
+    grow(draw(st.integers(0, 6)))
+    rows = draw(st.lists(st.lists(_VALUES | st.floats(),
+                                  min_size=n_features, max_size=n_features),
+                         min_size=1, max_size=20))
+    return DecisionTreeModel(nodes, n_features, 6, 2), np.array(rows)
+
+
+@given(_trees_and_rows())
+@settings(max_examples=300, deadline=None)
+def test_descent_matches_the_per_node_walk(case):
+    """``_leaves``, through every name that reads it, sends each row to
+    the leaf the per-node walk reaches."""
+    model, X = case
+    expected = [reference.predict_one(model, row) for row in X]
+    assert [predict_one(model, row) for row in X] == expected
+    assert predict(model, X).tolist() == [k for k, _ in expected]
+    assert predict_proba(model, X).tolist() == [p for _, p in expected]
