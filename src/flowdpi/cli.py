@@ -12,6 +12,8 @@ import contextlib
 import csv
 import json
 import logging
+import os
+import stat
 import sys
 from functools import partial
 from pathlib import Path
@@ -327,9 +329,28 @@ def cmd_train_encrypted(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two outputs would write one file: the same regular file,
+    or, for files not yet there, the same path once resolved.  A pipe or
+    terminal, such as /dev/stdout, can take both."""
+    try:
+        sa, sb = a.stat(), b.stat()
+    except OSError:   # realpath, unlike Path.resolve, stops at a link loop
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and (sa.st_dev, sa.st_ino) == (
+        sb.st_dev, sb.st_ino)
+
+
 def _write_outputs(*outputs: tuple[str, Path, Callable]) -> None:
     """Open every (what, path, write) output, then write each: one that
-    cannot be opened leaves no fresh report beside stale curves."""
+    cannot be opened leaves no fresh report beside stale curves.  Two
+    outputs that name one file are a usage error, found before any
+    output is opened."""
+    for i, (what, path, _) in enumerate(outputs):
+        for other, other_path, _ in outputs[:i]:
+            if _same_file(path, other_path):
+                raise UsageError(f"the {other} and the {what} name one "
+                                 f"file: {other_path} and {path}")
     with contextlib.ExitStack() as stack:
         files = []
         for what, path, _ in outputs:

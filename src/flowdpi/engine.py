@@ -6,13 +6,14 @@ epoch per flow, classifies unencrypted sampled payloads, feeds the hit
 count back into the adaptive sampler, and classifies encrypted flows
 from their metadata.  Block actions are simulated verdict events.
 
-A replay scores its sampled payloads in batches: it plans which packets
-of the next ``SCORE_BATCH`` would be sampled, scores them together and
+A replay scores its sampled payloads in batches.  Of the next
+``SCORE_BATCH`` packets it plans every one that could be sampled: in the
+epoch a flow is in, the first ``current_window`` packets, and in an
+epoch that starts inside the batch, the first ``w_max``, the largest
+window the sampler can choose.  It scores the planned packets together,
 then processes the packets one at a time, in order, reading the scores.
-A sampled packet the plan missed is scored on its own, as a one-row
-batch through the same ``Featurizer.featurize_batch`` and
-``logistic.predict_proba``.  Flow rows are classified in chunks of
-``SCORE_BATCH``, each encoded into one array that descends the tree once.
+Flow rows are classified in chunks of ``SCORE_BATCH``, each encoded into
+one array that descends the tree once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .encflow import (EncryptedFlowRecord, FlowRowError, encode_all,
                       read_flow_csv)
 from .flows import (Direction, FlowKey, FlowParseError, PacketRecord, Verdict,
                     VerdictKind, VerdictReason, packet_from_json_line)
-from .sampler import AdaptiveSampler, SamplerConfig, advance
+from .sampler import AdaptiveSampler, SamplerConfig
 from .textfeat import Featurizer
 
 log = logging.getLogger(__name__)
@@ -64,12 +65,10 @@ class EngineConfig:
 
 @dataclass
 class FlowState:
-    key: FlowKey
     sampler: AdaptiveSampler
     packets_in_epoch: int = 0
     window_hits: int = 0
     max_window_score: float = 0.0
-    epoch_index: int = 0
     blocked: bool = False
 
 
@@ -145,15 +144,9 @@ class Engine:
 
     def _new_flow(self, packet: PacketRecord) -> FlowState:
         self.report.flows_seen += 1
-        state = FlowState(packet.flow, AdaptiveSampler(self.config.sampler))
+        state = FlowState(AdaptiveSampler(self.config.sampler))
         self._flows[packet.flow] = state
         return state
-
-    def score(self, payload: str) -> float:
-        """The payload classifier's score of one payload, as a one-row
-        batch: bit for bit its score in a batch of any size."""
-        return float(logistic.predict_proba(
-            self.payload_model, self.featurizer.featurize(payload))[0])
 
     def process_packet(self, packet: PacketRecord) -> Optional[Verdict]:
         state = self._flows.get(packet.flow)
@@ -179,9 +172,7 @@ class Engine:
         verdict = None
         if position < state.sampler.current_window and not packet.encrypted:
             self.report.packets_sampled += 1
-            score = self._scores.get(id(packet))
-            if score is None:   # not planned: a window grew on a hit
-                score = self.score(packet.payload_text())
+            score = self._scores[id(packet)]
             if score >= self.config.block_threshold:
                 state.window_hits += 1
                 state.max_window_score = max(state.max_window_score, score)
@@ -203,7 +194,6 @@ class Engine:
             state.packets_in_epoch = 0
             state.window_hits = 0
             state.max_window_score = 0.0
-            state.epoch_index += 1
             if (not self.config.block_on_first_hit
                     and delta >= self.config.window_hit_block_count):
                 state.blocked = True
@@ -214,25 +204,23 @@ class Engine:
         return verdict
 
     def _plan(self, packets: list[PacketRecord]) -> list[PacketRecord]:
-        """The packets that ``process_packet`` would sample, in order, if
-        none of them scored a hit, read from the flow states and left
-        them as they are.  A new flow is taken to be off the blacklist.
-        Under first-hit blocking a hit blocks its flow, so every sampled
-        packet is planned; a window of hits under count blocking can
-        grow the next window past the plan."""
+        """Every packet that ``process_packet`` could sample, in order,
+        read from the flow states and left them as they are.  The window
+        of the epoch a flow is in is known; an epoch that starts inside
+        the batch is given ``w_max``, the largest window it can have.  A
+        new flow is taken to be off the blacklist."""
         flows, config = self._flows, self.config.sampler
-        m, w_min, keep = config.m, config.w_min, config.history_len
+        m, w_min, w_max = config.m, config.w_min, config.w_max
         planned = []
-        # flow -> [blocked, packets_in_epoch, window, sampler history]
-        plans: dict[FlowKey, list] = {}
+        plans: dict[FlowKey, list] = {}   # flow -> [blocked, position, window]
         for packet in packets:
             plan = plans.get(packet.flow)
             if plan is None:
                 state = flows.get(packet.flow)
                 plan = plans[packet.flow] = (
-                    [False, 0, w_min, ()] if state is None else
+                    [False, 0, w_min] if state is None else
                     [state.blocked, state.packets_in_epoch,
-                     state.sampler.current_window, state.sampler.history])
+                     state.sampler.current_window])
             if plan[0]:
                 continue
             position = plan[1]
@@ -240,9 +228,7 @@ class Engine:
             if position < plan[2] and not packet.encrypted:
                 planned.append(packet)
             if plan[1] >= m:
-                history = [*plan[3], (plan[2], 0)][-keep:]
-                plan[1], plan[2], plan[3] = (
-                    0, advance(config, history, plan[2], 0)[2], history)
+                plan[1], plan[2] = 0, w_max
         return planned
 
     def _process_batch(self, packets: list[PacketRecord]) -> None:
@@ -251,7 +237,7 @@ class Engine:
         planned = self._plan(packets)
         if planned:
             X = self.featurizer.featurize_batch(
-                [packet.payload_text() for packet in planned])
+                [packet.payload for packet in planned])
             scores = logistic.predict_proba(self.payload_model, X).tolist()
             self._scores = dict(zip(map(id, planned), scores))
         process = self.process_packet

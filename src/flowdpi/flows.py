@@ -183,12 +183,8 @@ class PacketRecord(NamedTuple):
     flow: FlowKey
     direction: Direction
     timestamp: float
-    payload: bytes
+    payload: str
     encrypted: bool
-
-    def payload_text(self) -> str:
-        """Payload decoded for featurization (lossy UTF-8)."""
-        return self.payload.decode("utf-8", errors="replace")
 
 
 def _timestamp(value: Any) -> float:
@@ -278,10 +274,10 @@ def packet_from_json_line(line: str) -> PacketRecord:
         raise FlowParseError(
             f"encrypted must be true or false: {encrypted!r}")
     try:
-        data = payload.encode("utf-8")
+        payload.encode("utf-8")   # a lone surrogate has no UTF-8 form
     except UnicodeEncodeError as exc:
         raise FlowParseError(f"payload is not UTF-8 text: {exc}") from exc
-    return PacketRecord(*flow, ts, data, encrypted)
+    return PacketRecord(*flow, ts, payload, encrypted)
 
 
 def packet_to_json_line(src_ip: str, src_port: int, dst_ip: str,

@@ -99,20 +99,6 @@ def next_window(current_w: int, dw_next: float, config: SamplerConfig) -> int:
     return max(config.w_min, min(config.w_max, w))
 
 
-def advance(config: SamplerConfig, history: Sequence[Sample], current_w: int,
-            delta_latest: int) -> tuple[float | None, float | None, int]:
-    """The predicted hit count, the window change and the next window,
-    once ``history`` ends with the sample (``current_w``,
-    ``delta_latest``) of the window that just ended.  The first two are
-    None, and the next window is w_min, while ``history`` holds fewer
-    than three samples."""
-    if len(history) < 3:
-        return None, None, config.w_min
-    predicted = predict_next(history, history[-1][0] - history[-2][0])
-    dw_next = window_delta(history, predicted, float(delta_latest))
-    return predicted, dw_next, next_window(current_w, dw_next, config)
-
-
 @dataclass
 class AdaptiveSampler:
     """Per-flow sampler state driving the adaptive window loop."""
@@ -141,9 +127,13 @@ class AdaptiveSampler:
         None while fewer than three samples are recorded.
         """
         self.record_sample(self.current_window, delta_latest)
-        predicted, dw_next, self.current_window = advance(
-            self.config, list(self.history), self.current_window,
-            delta_latest)
+        history = list(self.history)
+        if len(history) < 3:
+            return None, None
+        predicted = predict_next(history, history[-1][0] - history[-2][0])
+        dw_next = window_delta(history, predicted, float(delta_latest))
+        self.current_window = next_window(self.current_window, dw_next,
+                                          self.config)
         return predicted, dw_next
 
 

@@ -102,8 +102,8 @@ def _best_split(X: np.ndarray,
     then lowest threshold.  Every position between two distinct sorted
     values of every feature is scored in one pass.  The threshold is the
     midpoint of the two values, or the lower value where the midpoint
-    rounds onto the upper one, so that ``x <= threshold`` sends exactly
-    the rows before the position left."""
+    rounds onto either of them or overflows, so that ``x <= threshold``
+    sends exactly the rows before the position left."""
     n = y.shape[0]
     n_pos = float(y.sum())
     order = np.argsort(X, axis=0, kind="stable")
@@ -123,9 +123,10 @@ def _best_split(X: np.ndarray,
     f, i = divmod(k, n - 1)
     if gain[i, f] == -np.inf:
         return None
-    lo, hi = xs[i, f], xs[i + 1, f]
+    # Python floats: a sum past the largest float is inf, with no warning
+    lo, hi = xs[i, f].item(), xs[i + 1, f].item()
     mid = (lo + hi) / 2.0
-    return f, float(mid if mid < hi else lo), float(gain[i, f])
+    return f, mid if lo < mid < hi else lo, float(gain[i, f])
 
 
 def _leaf(y: np.ndarray) -> TreeNode:

@@ -25,6 +25,7 @@ packet line and processed the packets in a stable sort by timestamp,
 ``streamed_replay`` is the replay that processed (and so scored) each
 packet as the reorder window let it go and classified each flow row as
 it was read, and ``reorder`` is the reorder window as a sorted list.
+Both replays process each packet as a batch of one.
 
 The tree descent that ``tree._leaves`` replaced: ``predict_one`` walks
 one row from the root to its leaf a node at a time.
@@ -400,14 +401,14 @@ def sorted_replay(engine, packet_lines):
             engine.report.errors.append(f"packet line {line_no}: {exc}")
     packets.sort(key=lambda packet: packet.timestamp)
     for packet in packets:
-        engine.process_packet(packet)
+        engine._process_batch([packet])
     return engine.report
 
 
 def streamed_replay(engine, packet_lines, flow_lines=None):
     """The replay that processed each packet as soon as the reorder
-    window let it go (a late packet as soon as it arrived), so that
-    ``Engine.process_packet`` scored each sampled packet on its own."""
+    window let it go (a late packet as soon as it arrived), so that each
+    sampled packet was scored on its own."""
     engine.report.errors.extend(engine.blacklist.errors)
     window = engine_module.REORDER_WINDOW
     held, released = [], -math.inf
@@ -425,15 +426,15 @@ def streamed_replay(engine, packet_lines, flow_lines=None):
                 f"packet line {line_no}: late: ts {ts!r} came after ts "
                 f"{released!r} left the {window}-packet reorder window; "
                 f"inspected in arrival order")
-            engine.process_packet(packet)
+            engine._process_batch([packet])
         elif len(held) < window:
             heapq.heappush(held, (ts, line_no, packet))
         else:
             released, _, packet = heapq.heappushpop(held,
                                                     (ts, line_no, packet))
-            engine.process_packet(packet)
+            engine._process_batch([packet])
     while held:
-        engine.process_packet(heapq.heappop(held)[2])
+        engine._process_batch([heapq.heappop(held)[2]])
     for record in read_flow_csv(flow_lines or ()):
         if isinstance(record, FlowRowError):
             engine.report.errors.append(f"flow csv: {record}")

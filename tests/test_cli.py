@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,26 @@ class TestTrainEncrypted:
         assert main(["train-encrypted", str(flows_file), str(out)]) == 0
         assert persistence.peek_schema(out) == persistence.TREE_SCHEMA
         assert "mean" in capsys.readouterr().out
+
+    def test_durations_whose_sum_overflows(self, tmp_path):
+        # the split between the two longest flows is at the shorter
+        # duration, with no overflow warning
+        rows = ["src_ip,src_port,dst_ip,dst_port,proto,tls_version,ttl,"
+                "duration,fwd_pkts,bwd_pkts,label"]
+        rows += [f"10.0.0.{i},40000,10.0.9.9,443,TCP,TLS1.2,64,{duration},"
+                 f"10,10,{label}" for i, (duration, label) in enumerate(
+                     [("1.5e308", "benign"), ("1.7e308", "botnet"),
+                      ("1.0", "benign"), ("2.0", "botnet")])]
+        path, out = tmp_path / "flows.csv", tmp_path / "t.json"
+        path.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train-encrypted", str(path), str(out),
+                         "--k-folds", "2"]) == 0
+        thresholds = [node.threshold
+                      for node in persistence.load_tree_model(out).nodes
+                      if not node.is_leaf]
+        assert 1.5e308 in thresholds
 
     def test_unlabeled_rows_are_data_error(self, tree_model_file, tmp_path,
                                            capsys):
@@ -874,20 +895,25 @@ IN_RANGE = {"seed": "3", "lambda": "0.01", "lr": "0.5", "max-iters": "50",
             "history": "5", "threshold": "0.5", "block-hit-count": "2"}
 
 
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory",
+                                   "symlink loop"])
 @pytest.mark.parametrize("output", [
     "payload model", "tree model", "eval report", "ROC curve", "PR curve",
     "replay report", "actions csv", "sample trace"])
 def test_output_that_cannot_be_written_is_data_error(
         output, where, corpus_file, flows_file, payload_model_file,
         tree_model_file, tmp_path, capsys):
-    """An output path in a directory that does not exist, or that is a
-    directory, ends the command with a data error naming the output and
-    its path, not with a traceback."""
+    """An output path in a directory that does not exist, that is a
+    directory or that is a symlink loop ends the command with a data
+    error naming the output and its path, not with a traceback."""
     bad = tmp_path / "absent" / "out"
     if where == "directory":
         bad = tmp_path / "taken"
         bad.mkdir()
+    elif where == "symlink loop":
+        bad = tmp_path / "loop"
+        bad.symlink_to(tmp_path / "back")
+        (tmp_path / "back").symlink_to(bad)
     ok = tmp_path / "ok"
     ok.mkdir()
     packets, blacklist = tmp_path / "packets.jsonl", tmp_path / "bl.txt"
@@ -924,6 +950,62 @@ def test_output_that_cannot_be_written_is_data_error(
     # that cannot be written holds nothing new
     if output in ("ROC curve", "PR curve", "actions csv"):
         assert report.read_text() == ""
+
+
+@pytest.mark.parametrize("first,second", [
+    ("eval report", "ROC curve"), ("eval report", "PR curve"),
+    ("ROC curve", "PR curve"), ("replay report", "actions csv")])
+def test_two_outputs_that_name_one_file_are_a_usage_error(
+        first, second, corpus_file, payload_model_file, tmp_path, capsys):
+    """Two outputs that name one file, an existing file by two paths or a
+    new one by paths that resolve alike, are a usage error before any
+    output is opened; /dev/stdout named twice, here a pipe, takes both."""
+    packets, blacklist = tmp_path / "packets.jsonl", tmp_path / "bl.txt"
+    packets.write_text(packet_to_json_line("10.1.0.1", 40000, "10.9.9.9",
+                                           80, "TCP", 1.0, "/a") + "\n")
+    blacklist.write_text("")
+    others = tmp_path / "others"
+    others.mkdir()
+
+    def command(one, two):
+        paths = {first: one, second: two}
+        if first == "replay report":
+            return ["replay", "--packets", packets, "--blacklist", blacklist,
+                    "--payload-model", payload_model_file, "--report-out",
+                    one, "--actions-out", two]
+        return ["eval", payload_model_file, corpus_file, "--report-out",
+                paths.get("eval report", others / "e.json"),
+                "--roc-out", paths.get("ROC curve", others / "roc.csv"),
+                "--pr-out", paths.get("PR curve", others / "pr.csv")]
+
+    taken = tmp_path / "taken.txt"
+    taken.write_text("stale")
+    os.link(taken, tmp_path / "link.txt")
+    (tmp_path / "d").mkdir()
+    fresh = tmp_path / "fresh.txt"
+    for one, two in ((taken, tmp_path / "link.txt"),
+                     (fresh, tmp_path / "d" / ".." / "fresh.txt")):
+        assert main(list(map(str, command(one, two)))) == 1
+        err = capsys.readouterr().err
+        assert (f"usage error: the {first} and the {second} name one file: "
+                f"{one} and {two}") in err
+        assert taken.read_text() == "stale"
+        assert not fresh.exists() and not any(others.iterdir())
+
+    src = str(Path(flowdpi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "flowdpi.cli",
+         *map(str, command("/dev/stdout", "/dev/stdout"))],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    starts = {"eval report": '{\n "confusion"',
+              "ROC curve": "threshold,fpr,tpr\n",
+              "PR curve": "threshold,recall,precision\n",
+              "replay report": '{\n "flows_seen"',
+              "actions csv": "ts,flow,kind,reason,score\n"}
+    assert starts[first] in done.stdout and starts[second] in done.stdout
 
 
 def required_args(command, tmp_path):

@@ -56,6 +56,25 @@ def make_engine(payload_classifier, blacklist_lines=(), tree_model=None,
                   tree_model, EngineConfig(**cfg))
 
 
+def process(engine, packet):
+    """``Engine.process_packet``'s verdict on ``packet``, processed as a
+    batch of one."""
+    verdicts, step = [], engine.process_packet
+    engine.process_packet = lambda packet: verdicts.append(step(packet))
+    try:
+        engine._process_batch([packet])
+    finally:
+        del engine.process_packet
+    [verdict] = verdicts
+    return verdict
+
+
+def score_one(featurizer, model, payload):
+    """The score of one payload, as a one-row batch."""
+    return float(logistic.predict_proba(
+        model, featurizer.featurize_batch([payload]))[0])
+
+
 @contextlib.contextmanager
 def reorder_window(size):
     """Replays in the block hold back ``size`` packets to reorder."""
@@ -78,24 +97,24 @@ def stream(src, payloads, sport=40000):
 def test_blacklisted_source_blocked_on_first_packet(payload_classifier):
     engine = make_engine(payload_classifier, ["10.0.0.5"])
     pkt = packet_from_json_line(packet_line("10.0.0.5", "/index.html"))
-    verdict = engine.process_packet(pkt)
+    verdict = process(engine, pkt)
     assert verdict.kind is VerdictKind.BLOCK
     assert verdict.reason is VerdictReason.BLACKLIST
     assert engine.report.blacklist_blocks == 1
     assert engine.report.packets_sampled == 0
     # subsequent packets on the blocked flow are dropped silently
-    assert engine.process_packet(pkt) is None
+    assert process(engine, pkt) is None
     assert engine.report.packets_dropped == 1
 
 
 def test_score_equal_to_block_threshold_blocks(payload_classifier):
     payload = "/index.html"
-    score = make_engine(payload_classifier).score(payload)
+    score = score_one(*payload_classifier, payload)
     for threshold, blocked in ((score, True),
                                (float(np.nextafter(score, 1.0)), False)):
         engine = make_engine(payload_classifier, block_threshold=threshold)
-        verdict = engine.process_packet(
-            packet_from_json_line(packet_line("10.0.0.9", payload)))
+        verdict = process(
+            engine, packet_from_json_line(packet_line("10.0.0.9", payload)))
         assert (verdict is not None
                 and verdict.kind is VerdictKind.BLOCK) == blocked
 
@@ -104,7 +123,7 @@ def test_blacklist_checked_only_on_flow_creation(payload_classifier):
     engine = make_engine(payload_classifier, [])
     rng = np.random.default_rng(0)
     for line in stream("10.0.0.6", [benign_payload(rng) for _ in range(5)]):
-        engine.process_packet(packet_from_json_line(line))
+        process(engine, packet_from_json_line(line))
     assert engine.report.flows_seen == 1
     assert engine.report.blacklist_blocks == 0
 
@@ -114,13 +133,13 @@ def test_benign_epoch_samples_window_and_records_delta(payload_classifier):
     rng = np.random.default_rng(1)
     for line in stream("10.0.0.7", [benign_payload(rng)
                                     for _ in range(100)]):
-        verdict = engine.process_packet(packet_from_json_line(line))
+        verdict = process(engine, packet_from_json_line(line))
         assert verdict is None
     assert engine.report.packets_seen == 100
     assert engine.report.packets_sampled == 5   # first window = w_min = 5
     state = next(iter(engine._flows.values()))
     assert list(state.sampler.history) == [(5, 0)]
-    assert state.epoch_index == 1
+    assert state.packets_in_epoch == 0
 
 
 def test_planted_malicious_payload_blocks(payload_classifier):
@@ -128,7 +147,7 @@ def test_planted_malicious_payload_blocks(payload_classifier):
     payloads = [benign_payload(rng) for _ in range(100)]
     payloads[3] = malicious_payload(rng)
     engine = make_engine(payload_classifier)
-    verdicts = [engine.process_packet(packet_from_json_line(line))
+    verdicts = [process(engine, packet_from_json_line(line))
                 for line in stream("10.0.0.8", payloads)]
     blocks = [v for v in verdicts if v is not None]
     assert len(blocks) == 1
@@ -146,7 +165,7 @@ def test_malicious_payload_outside_window_not_inspected(payload_classifier):
     payloads[50] = malicious_payload(rng)   # past the 5-packet window
     engine = make_engine(payload_classifier)
     for line in stream("10.0.0.9", payloads):
-        assert engine.process_packet(packet_from_json_line(line)) is None
+        assert process(engine, packet_from_json_line(line)) is None
     assert engine.report.classifier_blocks == 0
 
 
@@ -156,7 +175,7 @@ def test_encrypted_packets_not_payload_inspected(payload_classifier):
     lines = [packet_line("10.0.1.1", malicious_payload(rng), ts=float(i),
                          encrypted=True) for i in range(10)]
     for line in lines:
-        assert engine.process_packet(packet_from_json_line(line)) is None
+        assert process(engine, packet_from_json_line(line)) is None
     assert engine.report.packets_sampled == 0
 
 
@@ -167,7 +186,7 @@ def test_count_blocking_mode(payload_classifier):
     payloads[1] = malicious_payload(rng)
     engine = make_engine(payload_classifier, block_on_first_hit=False,
                          window_hit_block_count=2)
-    verdicts = [engine.process_packet(packet_from_json_line(line))
+    verdicts = [process(engine, packet_from_json_line(line))
                 for line in stream("10.0.1.2", payloads)]
     emitted = [v for v in verdicts if v is not None]
     kinds = [v.kind for v in emitted]
@@ -185,16 +204,16 @@ def test_window_hits_match_offline_recount(payload_classifier):
     engine = make_engine(payload_classifier, block_on_first_hit=False,
                          window_hit_block_count=50)
     for line in stream("10.0.1.3", payloads):
-        engine.process_packet(packet_from_json_line(line))
+        process(engine, packet_from_json_line(line))
     state = next(iter(engine._flows.values()))
     recount = sum(logistic.predict_proba(
         model, stack_dense(featurizer, tokenize(payloads[:5]))) >= 0.5)
     assert list(state.sampler.history) == [(5, int(recount))]
 
 
-def test_engine_score_is_the_eval_score(payload_classifier):
-    """Replay scores a packet as a one-row batch; eval scores a corpus as
-    one batch.  Every payload gets the same bits from both."""
+def test_one_row_score_is_the_eval_score(payload_classifier):
+    """A payload scored as a one-row batch, as a replay may score a
+    packet, gets the bits eval gives it in a batch of the corpus."""
     featurizer, model = payload_classifier
     rng = np.random.default_rng(SEED)
     payloads, _ = labeled_corpus(rng, 150, 80)
@@ -202,9 +221,9 @@ def test_engine_score_is_the_eval_score(payload_classifier):
     scores = logistic.predict_proba(model,
                                     stack_dense(featurizer,
                                                 tokenize(payloads)))
-    engine = make_engine(payload_classifier)
     for payload, score in zip(payloads, scores):
-        assert repr(engine.score(payload)) == repr(float(score))
+        assert repr(score_one(featurizer, model, payload)) == \
+            repr(float(score))
 
 
 # upper case, a non-ASCII digit, a letter whose lower case is longer, the
@@ -239,8 +258,8 @@ def _model_file(draw, fitted: Featurizer):
        st.lists(_packet_texts, max_size=6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
-    """A sampled packet is scored as a one-row batch, bit for bit as the
-    oracles and the batch path do: its ``count_batch`` counts are the
+    """One payload, as a one-row batch, gets the bits the oracles and a
+    larger batch give it: its ``count_batch`` counts are the
     oracle's, its row is the oracle's ``featurize`` and its
     ``stack_dense`` row, and its score is its ``predict_proba`` score in
     a batch.  ``unseen`` payloads bring tri-grams the vocabulary lacks."""
@@ -251,7 +270,6 @@ def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
     model = logistic.LogisticModel(rng.normal(scale=2.0,
                                               size=featurizer.dim),
                                    data.draw(st.floats(-3.0, 3.0)), 0.0)
-    engine = Engine(load_blacklist([]), featurizer, model)
     payloads = corpus + unseen
     X = stack_dense(featurizer, tokenize(payloads))
     scores = logistic.predict_proba(model, X).tolist()
@@ -264,7 +282,8 @@ def test_packet_path_matches_oracles_and_batch(corpus, unseen, data):
         row = reference.row(featurizer.featurize(payload), 0)
         assert _bits(row) == _bits(reference.featurize(featurizer, payload))
         assert _bits(row) == _bits(reference.row(X, i))
-        assert engine.score(payload).hex() == scores[i].hex()
+        assert score_one(featurizer, model, payload).hex() == \
+            scores[i].hex()
 
 
 def test_process_encrypted_flow_paths(payload_classifier, hand_tree):
@@ -612,48 +631,52 @@ def score_batch(size):
         yield
 
 
+def _sampling_spy(engine):
+    """The payloads of the packets ``engine`` samples, filled in as it
+    processes them."""
+    sampled, step = [], engine.process_packet
+
+    def spy(packet):
+        before = engine.report.packets_sampled
+        verdict = step(packet)
+        if engine.report.packets_sampled > before:
+            sampled.append(packet.payload)
+        return verdict
+
+    engine.process_packet = spy
+    return sampled
+
+
 def _scored_replay(engine, lines, flow_lines=None):
-    """Run the batched replay; return its bytes, the payloads of the
-    planned (batch-scored) packets and of the packets ``Engine.score``
-    scored one at a time."""
-    planned, fallback = [], []
-    plan, score = engine._plan, engine.score
+    """Run the batched replay; return its bytes, the payloads it sampled
+    and those of the planned (batch-scored) packets."""
+    planned, plan = [], engine._plan
 
     def plan_spy(packets):
         rows = plan(packets)
-        planned.extend(p.payload_text() for p in rows)
+        planned.extend(p.payload for p in rows)
         return rows
 
-    def score_spy(payload):
-        fallback.append(payload)
-        return score(payload)
-
-    engine._plan, engine.score = plan_spy, score_spy
+    engine._plan = plan_spy
+    sampled = _sampling_spy(engine)
     report = engine.run_replay(lines, flow_lines)
-    return _replay_bytes(report), planned, fallback
+    return _replay_bytes(report), sampled, planned
 
 
 def _per_packet_replay(engine, lines, flow_lines=None):
-    """The per-packet replay's bytes and the payloads it sampled, each of
-    which it scored through ``Engine.score``."""
-    sampled, score = [], engine.score
-
-    def score_spy(payload):
-        sampled.append(payload)
-        return score(payload)
-
-    engine.score = score_spy
+    """The bytes of the replay that processed each packet as a batch of
+    one, and the payloads it sampled."""
+    sampled = _sampling_spy(engine)
     report = reference.streamed_replay(engine, lines, flow_lines)
     return _replay_bytes(report), sampled
 
 
-def _assert_scored_once(sampled, planned, fallback):
-    """Each sampled packet (payloads are unique) was scored exactly once:
-    in its batch or, if the plan missed it, by ``Engine.score``."""
+def _assert_scored_once(sampled, planned):
+    """Each planned packet (payloads are unique) was scored once, in its
+    batch, and every sampled packet was planned."""
     assert len(set(sampled)) == len(sampled)
-    assert Counter(planned) == Counter(set(planned))
-    assert not set(fallback) & set(planned)
-    assert sorted(fallback) == sorted(set(sampled) - set(planned))
+    assert len(set(planned)) == len(planned)
+    assert set(sampled) <= set(planned)
 
 
 _BLOCKING = {"first-hit": dict(block_on_first_hit=True),
@@ -669,28 +692,27 @@ def test_batched_replay_gives_the_per_packet_bytes(
         payload_classifier, lines, blocking, window, batch):
     """Scoring the planned packets of each batch at once gives the report
     and the actions of the replay that scored each sampled packet on its
-    own, and scores every sampled packet exactly once."""
+    own, samples the same packets and scores each of them once."""
     cfg = dict(sampler=SamplerConfig(m=6, w_min=2, w_max=4),
                **_BLOCKING[blocking])
     with reorder_window(window):
-        expected, sampled = _per_packet_replay(
+        expected, expected_sampled = _per_packet_replay(
             make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
         with score_batch(batch):
-            got, planned, fallback = _scored_replay(
+            got, sampled, planned = _scored_replay(
                 make_engine(payload_classifier, ["10.0.7.3"], **cfg), lines)
     assert got == expected
-    _assert_scored_once(sampled, planned, fallback)
-    if blocking == "first-hit":
-        assert fallback == []
+    assert sampled == expected_sampled
+    _assert_scored_once(sampled, planned)
 
 
 @pytest.mark.parametrize("first_hit,hit_count", [(True, 1), (False, 2)])
-def test_window_grown_by_hits_falls_back_to_engine_score(
+def test_window_grown_by_hits_is_planned(
         payload_classifier, hand_tree, first_hit, hit_count):
     """Under count blocking a window of hits that does not block can grow
-    the next window past the plan, which assumed no hits: the packets it
-    adds are scored one at a time, and the bytes stay those of the
-    per-packet replay.  Under first-hit blocking the plan misses none."""
+    the next window: the plan, which gives an epoch that starts in the
+    batch the largest window, still holds every packet sampled, and the
+    bytes stay those of the per-packet replay."""
     rng = np.random.default_rng(11)
     lines = []
     for flow in range(3):
@@ -708,15 +730,67 @@ def test_window_grown_by_hits_falls_back_to_engine_score(
                   "10.0.5.9,443,10.0.9.9,50000,TCP,TLS1.2,120,1.5,10,12"]
     cfg = dict(sampler=SamplerConfig(m=6, w_min=2, w_max=4),
                block_on_first_hit=first_hit, window_hit_block_count=hit_count)
-    expected, sampled = _per_packet_replay(
+    expected, expected_sampled = _per_packet_replay(
         make_engine(payload_classifier, (), hand_tree, **cfg), lines,
         flow_lines)
-    got, planned, fallback = _scored_replay(
+    got, sampled, planned = _scored_replay(
         make_engine(payload_classifier, (), hand_tree, **cfg), lines,
         flow_lines)
     assert got == expected
-    _assert_scored_once(sampled, planned, fallback)
-    assert sampled and (fallback == []) == first_hit
+    assert sampled and sampled == expected_sampled
+    _assert_scored_once(sampled, planned)
+
+
+def test_plan_bounds_the_windows_of_epochs_that_start_in_the_batch(
+        payload_classifier):
+    """One flow under count blocking, with several epochs a batch, whose
+    hits move its window between 3 and 4: every sampled packet was
+    planned, and a planned packet that was not sampled lies at a position
+    in [window, w_max) of an epoch that started inside its batch."""
+    config = SamplerConfig(m=6, w_min=2, w_max=4)
+    rng = np.random.default_rng(12)
+    # two epochs of hits, then two without; a fragment of letters (digits
+    # would sway the model) names the packet
+    payloads = [(malicious_payload(rng) if i // 12 % 2 == 0
+                 else benign_payload(rng))
+                + f"#{chr(97 + i // 26)}{chr(97 + i % 26)}"
+                for i in range(120)]
+    lines = stream("10.0.5.1", payloads)
+    engine = make_engine(payload_classifier, sampler=config,
+                         block_on_first_hit=False,
+                         window_hit_block_count=config.w_max + 1)
+    # (payload, position, window, whether its epoch started in its batch)
+    rows, fresh = [], set()
+    batch, step = engine._process_batch, engine.process_packet
+
+    def batch_spy(packets):
+        fresh.clear()
+        return batch(packets)
+
+    def step_spy(packet):
+        state = engine._flows.get(packet.flow)
+        position, window = ((0, config.w_min) if state is None else
+                            (state.packets_in_epoch,
+                             state.sampler.current_window))
+        if position == 0:
+            fresh.add(packet.flow)
+        rows.append((packet.payload, position, window, packet.flow in fresh))
+        return step(packet)
+
+    engine._process_batch, engine.process_packet = batch_spy, step_spy
+    # the second batch starts at position 2 of a 3-packet window
+    with score_batch(26):
+        _, sampled, planned = _scored_replay(engine, lines)
+    _assert_scored_once(sampled, planned)
+    assert sampled == [p for p, position, window, _ in rows
+                       if position < window]
+    windows = [window for _, position, window, _ in rows if position == 0]
+    assert (3, 4) in zip(windows, windows[1:])   # grown by hits
+    surplus = set(planned) - set(sampled)
+    assert surplus
+    for payload, position, window, started in rows:
+        if payload in surplus:
+            assert started and window <= position < config.w_max
 
 
 @pytest.mark.parametrize("bad", [(257,), (256, 258), (1, 255, 514)])

@@ -171,8 +171,7 @@ def test_packet_json_parsing():
                        "payload": "/index.html", "encrypted": False})
     pkt = packet_from_json_line(line)
     assert pkt.direction is Direction.REVERSE   # 10.0.0.1 sorts first
-    assert pkt.payload == b"/index.html"
-    assert pkt.payload_text() == "/index.html"
+    assert pkt.payload == "/index.html"
     assert pkt.timestamp == 1.5
     assert not pkt.encrypted
 
@@ -225,7 +224,7 @@ def test_payload_must_be_a_string_or_absent(value):
     # null used to be featurized as the text "None"
     with pytest.raises(FlowParseError, match="payload must be a string"):
         packet_from_json_line(packet_json(payload=value))
-    assert packet_from_json_line(packet_json(drop=["payload"])).payload == b""
+    assert packet_from_json_line(packet_json(drop=["payload"])).payload == ""
 
 
 @pytest.mark.parametrize("value", ["6", " 17 ", "06", "47"])

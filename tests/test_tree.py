@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,21 @@ class TestTrain:
         assert set(tree._leaves(model, X).tolist()) == leaves
         assert np.array_equal(predict(model, X), y)
         assert [predict_one(model, row)[0] for row in X] == list(y)
+
+
+    @pytest.mark.parametrize("pair,threshold", [
+        ((1.5e308, 1.7e308), 1.5e308), ((-1.7e308, -1.5e308), -1.7e308)])
+    def test_midpoint_past_the_largest_float_is_the_lower_value(
+            self, pair, threshold):
+        # the sum of the pair overflows; -inf used to send every row right
+        X = np.array([[pair[0]], [pair[1]], [1.0], [2.0]])
+        y = np.array([0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(X, y)
+        assert threshold in [node.threshold for node in model.nodes
+                             if not node.is_leaf]
+        assert np.array_equal(predict(model, X), y)
 
 
 class TestHyper:
