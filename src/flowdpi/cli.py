@@ -458,24 +458,24 @@ def cmd_sample_trace(args) -> int:
                 deltas.append(parse_uint(cell, "hit count"))
             except ValueError as exc:
                 raise DataError(f"{args.input}:{line_no}: {exc}") from exc
-    rows = trace(_sampler_config(args), deltas)
-    with contextlib.ExitStack() as output:
-        out = sys.stdout
-        if args.output:
-            output.enter_context(_writing("sample trace", args.output))
-            out = output.enter_context(
-                open(args.output, "w", encoding="utf-8", newline=""))
-        writer = csv.writer(out)
-        writer.writerow(["step", "w", "delta", "delta_hat", "dw_next"])
-        for row in rows:
-            writer.writerow([
-                row.step, row.w, row.delta,
-                "" if row.predicted is None else repr(row.predicted),
-                "" if row.dw_next is None else repr(row.dw_next),
-            ])
+    write = partial(_write_trace_csv, trace(_sampler_config(args), deltas))
     if args.output:
+        _write_outputs(("sample trace", args.output, write))
         print(f"wrote {args.output}")
+    else:
+        write(sys.stdout)
     return EXIT_OK
+
+
+def _write_trace_csv(rows, fp) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["step", "w", "delta", "delta_hat", "dw_next"])
+    for row in rows:
+        writer.writerow([
+            row.step, row.w, row.delta,
+            "" if row.predicted is None else repr(row.predicted),
+            "" if row.dw_next is None else repr(row.dw_next),
+        ])
 
 
 def build_parser() -> _Parser:

@@ -91,7 +91,11 @@ def parse_uint(text: str, what: str) -> int:
     """A whole number written in ASCII digits only: no sign, ``_`` or
     whitespace."""
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:   # more digits than int() reads from a str
+            raise FlowParseError(f"{what} of {len(text)} digits is too "
+                                 f"long to read") from None
     if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
         raise FlowParseError(f"negative {what} {text!r}")
     raise FlowParseError(f"{what} {text!r} is not a whole number in ASCII "

@@ -161,7 +161,7 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds = [[np.empty(0, dtype=int)] for _ in range(k)]
     ordered = np.sort(y, axis=None)
     first = np.ones(ordered.shape, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
@@ -170,9 +170,9 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
         if idx.shape[0] < k:
             raise ValueError(f"class {cls} has fewer than k={k} members")
         idx = idx[rng.permutation(idx.shape[0])]
-        for j, sample in enumerate(idx):
-            folds[j % k].append(int(sample))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+        for f, fold in enumerate(folds):   # dealt round-robin
+            fold.append(idx[f::k])
+    return [np.sort(np.concatenate(fold)) for fold in folds]
 
 
 def cross_validate(y, k: int, seed: int, fit_predict) -> list[Metrics]:

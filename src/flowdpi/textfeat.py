@@ -5,15 +5,14 @@ tri-gram TF-IDF block followed by five min-max-normalized linguistic
 features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
-``count_batch`` is the one counter of tri-grams and linguistic features:
-it counts a list of payloads at once with numpy, each tri-gram packed
-into one integer.
-Training and evaluation work on a whole corpus: ``tokenize`` counts it,
-``fit_featurizer`` fits on any subset of its rows from those counts,
-and ``stack_dense`` builds the ``FeatureBatch`` of any subset.  Replay
-featurizes its sampled packets a batch at a time with
-``Featurizer.featurize_batch``; ``Featurizer.featurize`` is the
-one-row batch of a single payload.  Every path gives the same bits.
+Every row is built along one path, each tri-gram packed into one int64
+code until a model keeps it: ``count_batch`` counts payloads with numpy,
+``tokenize`` gives each payload's distinct codes and their counts,
+``fit_featurizer`` fits on any subset of those rows and unpacks only the
+tri-grams it keeps, and ``stack_dense`` builds the ``FeatureBatch`` of
+any subset, looking each code up among the vocabulary's.  Replay's
+``Featurizer.featurize_batch`` is ``stack_dense`` of ``tokenize``, and
+``Featurizer.featurize`` is the one-row batch of a single payload.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,14 +66,12 @@ def _unpack(codes: np.ndarray) -> list[str]:
     return [text[i:i + 3] for i in range(0, len(text), 3)]
 
 
-def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and how often each occurs."""
-    keys = np.sort(keys)
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Which of the sorted ``keys`` differ from the one before."""
     first = np.empty(keys.shape[0], dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return keys[starts], np.diff(starts, append=keys.shape[0])
+    return first
 
 
 def _in_runs(flags: np.ndarray) -> np.ndarray:
@@ -215,38 +211,24 @@ class Featurizer:
                 np.append(columns[order], -1))
 
     def featurize_batch(self, payloads: Sequence[str]) -> FeatureBatch:
-        """The feature rows of ``payloads``, in order.
-
-        Tri-gram ``t`` of the vocabulary gets ``(count / total) *
-        idf[t]``, where ``total`` counts every tri-gram of the payload;
-        linguistic count ``j`` is min-max scaled, clamped to [0, 1] (0
-        when ``l_min == l_max``) and left out when 0.  A row's values do
-        not depend on the other payloads of the batch.
-        """
-        owner, codes, totals, linguistic = count_batch(payloads)
-        known, columns = self._lookup
-        # searchsorted runs several times faster on ascending needles
-        order = np.argsort(codes)
-        codes, owner = codes[order], owner[order]
-        at = np.searchsorted(known, codes)
-        hit = known[at] == codes
-        keys, counts = _tally(owner[hit] * self.dim + columns[at[hit]])
-        owner, cols = np.divmod(keys, self.dim)
-        return _assemble(self, owner, cols, counts, totals, linguistic)
+        """The feature rows of ``payloads``, in order, valued as
+        ``stack_dense`` defines."""
+        return stack_dense(self, tokenize(payloads))
 
 
 @dataclass(frozen=True, eq=False)
 class TokenizedCorpus:
     """Each payload of a corpus counted once.
 
-    ``vocabulary`` holds every tri-gram of the corpus, sorted.  Payload
-    ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``ids`` (its
-    distinct tri-grams, as ascending positions in ``vocabulary``) and
-    ``counts`` (how often each occurs); ``totals[i]`` is its number of
-    tri-grams and ``linguistic[i]`` its five raw linguistic counts.
+    ``grams`` holds the packed code of every tri-gram of the corpus,
+    ascending.  Payload ``i`` owns the entries ``indptr[i]:indptr[i + 1]``
+    of ``ids`` (its distinct tri-grams, as ascending positions in
+    ``grams``) and ``counts`` (how often each occurs); ``totals[i]`` is
+    its number of tri-grams and ``linguistic[i]`` its five raw linguistic
+    counts.
     """
 
-    vocabulary: tuple[str, ...]
+    grams: np.ndarray
     indptr: np.ndarray
     ids: np.ndarray
     counts: np.ndarray
@@ -276,14 +258,20 @@ class TokenizedCorpus:
 def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
     n = len(payloads)
     owner, codes, totals, linguistic = count_batch(payloads)
-    grams, _ = _tally(codes)
+    # one sort finds the distinct tri-grams and the id of each occurrence
+    order = np.argsort(codes)
+    first = _firsts(codes[order])
+    grams = codes[order[first]]
+    gram_ids = np.empty_like(order)
+    gram_ids[order] = np.cumsum(first) - 1
     size = max(grams.shape[0], 1)
-    keys, counts = _tally(owner * size + np.searchsorted(grams, codes))
-    rows, ids = np.divmod(keys, size)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return TokenizedCorpus(tuple(_unpack(grams)), indptr, ids, counts,
-                           totals, linguistic)
+    keys = np.sort(owner * size + gram_ids)
+    starts = np.flatnonzero(_firsts(keys))
+    counts = np.diff(starts, append=keys.shape[0])
+    keys = keys[starts]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * size)
+    return TokenizedCorpus(grams, indptr, keys % size, counts, totals,
+                           linguistic)
 
 
 def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
@@ -299,10 +287,10 @@ def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
     if n == 0:
         raise ValueError("cannot fit a featurizer on an empty corpus")
     _, ids, _ = corpus.entries(rows)
-    df = np.bincount(ids, minlength=len(corpus.vocabulary))
+    df = np.bincount(ids, minlength=corpus.grams.shape[0])
     present = np.flatnonzero(df)
-    vocabulary = {corpus.vocabulary[i]: j
-                  for j, i in enumerate(present.tolist())}
+    vocabulary = {gram: j for j, gram in
+                  enumerate(_unpack(corpus.grams[present]))}
     idf = tuple(math.log((1 + n) / (1 + d)) + 1.0
                 for d in df[present].tolist())
     ling = corpus.linguistic[rows]
@@ -326,32 +314,28 @@ def _normalize_rows(params: NormalizationParams,
 
 def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
                 rows=None) -> FeatureBatch:
-    """The payloads at ``rows`` (all by default), in that order, as one
-    batch.  Row i holds bit for bit the row ``featurizer
-    .featurize_batch`` gives the i-th payload: tri-grams outside the
-    featurizer's vocabulary still count in the TF denominator."""
+    """The feature rows of the payloads at ``rows`` (all by default), in
+    that order.
+
+    Tri-gram ``t`` of the vocabulary gets ``(count / total) * idf[t]``,
+    where ``total`` counts every tri-gram of the payload, those outside
+    the vocabulary too; linguistic count ``j`` is min-max scaled,
+    clamped to [0, 1] (0 when ``l_min == l_max``) and left out when 0.
+    A row's values do not depend on the other rows of the batch.
+    """
     rows = corpus.select(rows)
-    if rows.shape[0] == 0:
+    n = rows.shape[0]
+    if n == 0:
         raise ValueError("no rows to stack")
-    vocab = featurizer.tfidf.vocabulary
-    column = np.fromiter(map(vocab.get, corpus.vocabulary, repeat(-1)),
-                         dtype=np.intp, count=len(corpus.vocabulary))
+    known, columns = featurizer._lookup
+    at = np.searchsorted(known, corpus.grams)
+    column = np.where(known[at] == corpus.grams, columns[at], -1)
     owner, ids, counts = corpus.entries(rows)
     cols = column[ids]
-    known = cols >= 0
-    return _assemble(featurizer, owner[known], cols[known], counts[known],
-                     corpus.totals[rows], corpus.linguistic[rows])
-
-
-def _assemble(featurizer: Featurizer, owner: np.ndarray, cols: np.ndarray,
-              counts: np.ndarray, totals: np.ndarray,
-              linguistic: np.ndarray) -> FeatureBatch:
-    """The batch of rows whose known tri-grams are the entries (row,
-    column, count), with each row's tri-gram total and raw linguistic
-    counts, valued as ``Featurizer.featurize_batch`` defines."""
-    n = totals.shape[0]
-    tfidf = (counts / totals[owner]) * featurizer._idf[cols]
-    ling = _normalize_rows(featurizer.norm, linguistic)
+    hit = cols >= 0
+    owner, cols, counts = owner[hit], cols[hit], counts[hit]
+    tfidf = (counts / corpus.totals[rows[owner]]) * featurizer._idf[cols]
+    ling = _normalize_rows(featurizer.norm, corpus.linguistic[rows])
     ling_owner, j = np.nonzero(ling)
     owner = np.concatenate((owner, ling_owner))
     indices = np.concatenate((cols, len(featurizer.tfidf.vocabulary) + j))

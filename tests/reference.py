@@ -18,7 +18,8 @@ is the fold split that listed the classes with ``np.unique``.
 The corpus counter that ``textfeat.count_batch`` replaced:
 ``tokenize`` counts each payload's tri-grams with a ``Counter`` and its
 linguistic features with ``linguistic_features``, and builds the
-``TokenizedCorpus`` from the counts.
+``TokenizedCorpus`` from the counts, its tri-grams sorted as strings and
+then each packed into one integer by ``pack``.
 
 The replay order: ``sorted_replay`` is the replay that parsed every
 packet line and processed the packets in a stable sort by timestamp,
@@ -157,6 +158,12 @@ def featurize(featurizer: Featurizer,
     return pairs
 
 
+def pack(gram: str) -> int:
+    """A tri-gram's code: its three code points, 21 bits each."""
+    a, b, c = map(ord, gram)
+    return a << 42 | b << 21 | c
+
+
 def tokenize(payloads) -> TokenizedCorpus:
     counted = [(Counter(trigrams(p)), max(len(p) - 2, 0),
                 linguistic_features(p).as_tuple()) for p in payloads]
@@ -175,7 +182,8 @@ def tokenize(payloads) -> TokenizedCorpus:
     totals = np.array([t for _, t, _ in counted], dtype=np.int64)
     linguistic = np.array([ling for _, _, ling in counted],
                           dtype=np.int64).reshape(len(counted), N_LINGUISTIC)
-    return TokenizedCorpus(vocabulary, indptr, ids[order], counts[order],
+    packed = np.array([pack(t) for t in vocabulary], dtype=np.int64)
+    return TokenizedCorpus(packed, indptr, ids[order], counts[order],
                            totals, linguistic)
 
 

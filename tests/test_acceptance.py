@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from flowdpi import logistic, metrics, tree
+from flowdpi import logistic, metrics, textfeat, tree
 from flowdpi.blacklist import load_blacklist
 from flowdpi.engine import Engine, EngineConfig
 from flowdpi.flows import packet_to_json_line
@@ -157,7 +157,7 @@ def test_c3_trigram_list():
         assert len(expected) == 19
         # the package's counter finds the same tri-grams
         corpus = tokenize(["/javascript/debug.exe"])
-        assert corpus.vocabulary == tuple(sorted(set(expected)))
+        assert textfeat._unpack(corpus.grams) == sorted(set(expected))
         assert corpus.totals.tolist() == [19]
 
 

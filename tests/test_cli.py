@@ -641,6 +641,21 @@ class TestReplay:
         assert len(report["errors"]) == 1
         assert main(args + ["--strict"]) == 2
 
+    def test_protocol_of_too_many_digits_rejects_only_its_line(
+            self, payload_model_file, tmp_path):
+        """A 5,000-digit protocol string is one bad packet line: reported,
+        or fatal under --strict, but never a model/config error."""
+        packets, blacklist = self._write_streams(tmp_path)
+        bad = json.dumps({"src_ip": "10.2.0.1", "src_port": 1,
+                          "dst_ip": "10.9.9.9", "dst_port": 80,
+                          "proto": "9" * 5000, "ts": 0.5, "payload": "x"})
+        packets.write_text(bad + "\n" + packets.read_text())
+        args = self._args(packets, blacklist, payload_model_file, tmp_path)
+        assert main(args) == 0
+        [reason] = json.loads((tmp_path / "r.json").read_text())["errors"]
+        assert reason.startswith("packet line 1: bad protocol: '999")
+        assert main(args + ["--strict"]) == 2
+
     def test_bad_blacklist_line_is_reported_or_fatal_under_strict(
             self, payload_model_file, tmp_path, capsys):
         packets, blacklist = self._write_streams(tmp_path)

@@ -93,6 +93,16 @@ def test_malformed_field_is_rejected_with_its_reason(column, value, reason):
         parse_flow_row(dict(GOOD_ROW, **{column: value}), 6)
 
 
+def test_ttl_of_too_many_digits_names_the_field():
+    """A 5,000-digit ttl, past the digits ``int`` reads from a str, gets a
+    reason that names the column, not Python's own."""
+    with pytest.raises(FlowRowError) as info:
+        parse_flow_row(dict(GOOD_ROW, ttl="9" * 5000), 6)
+    reason = str(info.value)
+    assert reason.startswith("row 6: ttl")
+    assert "set_int_max_str_digits" not in reason
+
+
 @pytest.mark.parametrize("value", ["1e-05", "0.5", "1e+16", "3", "0.0"])
 def test_duration_reads_every_float_repr(value):
     assert parse_flow_row(dict(GOOD_ROW, duration=value), 1).duration == \

@@ -224,7 +224,7 @@ class TestStratifiedKfold:
                                                         seed):
         """The split lists the classes without ``np.unique`` (which
         imports ``numpy.ma``), in the same order, so the folds and the
-        errors are those of the split that used it."""
+        errors are those of the split that used it, dtype included."""
         y = np.array(labels)
         try:
             expected = reference.stratified_kfold(y, k, seed)
@@ -232,8 +232,8 @@ class TestStratifiedKfold:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 stratified_kfold(y, k, seed)
             return
-        assert [f.tolist() for f in stratified_kfold(y, k, seed)] == \
-            [f.tolist() for f in expected]
+        assert [(f.dtype, f.tolist()) for f in stratified_kfold(y, k, seed)] \
+            == [(f.dtype, f.tolist()) for f in expected]
 
     def test_small_class_rejected(self):
         with pytest.raises(ValueError):
