@@ -15,6 +15,7 @@ import logging
 import os
 import stat
 import sys
+from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -367,11 +368,12 @@ def _write_json(doc: dict, fp) -> None:
     fp.write("\n")
 
 
-def _write_curve_csv(header: tuple[str, str, str], points, fp) -> None:
+def _write_csv(header: tuple[str, ...], rows, fp) -> None:
+    """``header``, then ``rows``: csv writes None as an empty field and a
+    float as its repr."""
     writer = csv.writer(fp)
     writer.writerow(header)
-    for thr, x, yv in points:
-        writer.writerow([repr(thr), repr(x), repr(yv)])
+    writer.writerows(rows)
 
 
 def cmd_eval(args) -> int:
@@ -394,9 +396,9 @@ def cmd_eval(args) -> int:
     _write_outputs(
         ("eval report", args.report_out, partial(_write_json,
                                                  report.to_dict())),
-        ("ROC curve", roc_out, partial(_write_curve_csv, (
+        ("ROC curve", roc_out, partial(_write_csv, (
             "threshold", "fpr", "tpr"), report.roc_points)),
-        ("PR curve", pr_out, partial(_write_curve_csv, (
+        ("PR curve", pr_out, partial(_write_csv, (
             "threshold", "recall", "precision"), report.pr_points)))
     m = report.metrics
     auc = "n/a" if report.auc is None else f"{report.auc:.6f}"
@@ -458,24 +460,14 @@ def cmd_sample_trace(args) -> int:
                 deltas.append(parse_uint(cell, "hit count"))
             except ValueError as exc:
                 raise DataError(f"{args.input}:{line_no}: {exc}") from exc
-    write = partial(_write_trace_csv, trace(_sampler_config(args), deltas))
+    write = partial(_write_csv, ("step", "w", "delta", "delta_hat", "dw_next"),
+                    map(astuple, trace(_sampler_config(args), deltas)))
     if args.output:
         _write_outputs(("sample trace", args.output, write))
         print(f"wrote {args.output}")
     else:
         write(sys.stdout)
     return EXIT_OK
-
-
-def _write_trace_csv(rows, fp) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["step", "w", "delta", "delta_hat", "dw_next"])
-    for row in rows:
-        writer.writerow([
-            row.step, row.w, row.delta,
-            "" if row.predicted is None else repr(row.predicted),
-            "" if row.dw_next is None else repr(row.dw_next),
-        ])
 
 
 def build_parser() -> _Parser:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .flows import (FlowKey, FlowParseError, canonicalize_flow_key,
-                    parse_decimal, parse_uint)
+                    parse_decimal, parse_uint, shown)
 
 RATE_EPSILON = 1e-3   # seconds; guards the duration=0 singularity
 
@@ -43,7 +43,7 @@ _TLS_ALIASES = {
 def parse_tls_version(text: str) -> TlsVersion:
     key = str(text).strip().lower().replace("_", ".").replace(" ", "")
     if key not in _TLS_ALIASES:
-        raise FlowParseError(f"unknown tls_version {text!r}")
+        raise FlowParseError(f"unknown tls_version {shown(text)}")
     return _TLS_ALIASES[key]
 
 
@@ -92,7 +92,7 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
                                         row["dst_ip"], dst_port, row["proto"])
         ttl = parse_uint(row["ttl"], "ttl")
         if ttl > 255:
-            raise FlowParseError(f"ttl out of range: {ttl}")
+            raise FlowParseError(f"ttl out of range: {shown(ttl)}")
         duration = parse_decimal(row["duration"], "duration")
         fwd = parse_uint(row["fwd_pkts"], "packet count fwd_pkts")
         bwd = parse_uint(row["bwd_pkts"], "packet count bwd_pkts")
@@ -107,7 +107,7 @@ def parse_flow_row(row: dict, row_no: int) -> EncryptedFlowRecord:
     if label_text not in (None, ""):
         label = _LABEL_ALIASES.get(str(label_text).strip().lower())
         if label is None:
-            raise FlowRowError(row_no, f"bad label {label_text!r}")
+            raise FlowRowError(row_no, f"bad label {shown(label_text)}")
     return EncryptedFlowRecord(flow, tls, ttl, duration, fwd, bwd, src_port,
                                dst_port, label)
 

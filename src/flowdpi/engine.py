@@ -103,12 +103,9 @@ class EngineReport:
 def write_actions_csv(report: EngineReport, fp) -> None:
     writer = csv.writer(fp)
     writer.writerow(["ts", "flow", "kind", "reason", "score"])
-    for v in report.actions:
-        writer.writerow([
-            "" if v.timestamp is None else repr(v.timestamp),
-            str(v.flow), v.kind.value, v.reason.value,
-            "" if v.score is None else repr(v.score),
-        ])
+    # csv writes None as an empty field and a float as its repr
+    writer.writerows([v.timestamp, str(v.flow), v.kind.value,
+                      v.reason.value, v.score] for v in report.actions)
 
 
 class Engine:

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import socket
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, NamedTuple
@@ -22,6 +23,24 @@ from typing import Any, NamedTuple
 
 class FlowParseError(ValueError):
     """Raised when a packet/flow record cannot be parsed."""
+
+
+def shown(value: Any) -> str:
+    """``repr(value)``, cut past 64 characters to its first 64 and its
+    length, so that a field of any size gives a reason of bounded size."""
+    text = repr(value)
+    if len(text) > 64:
+        text = f"{text[:64]}... ({len(text)} characters)"
+    return text
+
+
+def json_reason(exc: ValueError | RecursionError) -> str:
+    """Why ``json`` rejected a text: a plain ``ValueError`` is ``int``
+    refusing a number past Python's digit limit."""
+    if type(exc) is not ValueError:
+        return f"bad JSON: {exc}"
+    return (f"bad JSON: a number of more than "
+            f"{sys.get_int_max_str_digits()} digits")
 
 
 class Direction(Enum):
@@ -50,7 +69,7 @@ def parse_protocol(value: Any) -> Protocol:
         if value == UDP.code:
             return UDP
         if not 0 <= value <= 255:
-            raise FlowParseError(f"protocol code out of range: {value}")
+            raise FlowParseError(f"protocol code out of range: {shown(value)}")
         return Protocol("OTHER", value)
     text = str(value).strip().upper()
     if text == "TCP":
@@ -60,7 +79,7 @@ def parse_protocol(value: Any) -> Protocol:
     try:
         code = parse_uint(text, "protocol code")
     except FlowParseError:
-        raise FlowParseError(f"bad protocol: {value!r}") from None
+        raise FlowParseError(f"bad protocol: {shown(value)}") from None
     return parse_protocol(code)
 
 
@@ -82,8 +101,8 @@ def parse_ipv4(text: Any) -> int:
         try:
             ipaddress.IPv6Address(stripped)
         except ValueError:
-            raise FlowParseError(f"bad IPv4 address: {text!r}") from None
-        raise FlowParseError(f"IPv6 not supported: {text!r}")
+            raise FlowParseError(f"bad IPv4 address: {shown(text)}") from None
+        raise FlowParseError(f"IPv6 not supported: {shown(text)}")
     return int.from_bytes(socket.inet_aton(stripped), "big")
 
 
@@ -97,9 +116,9 @@ def parse_uint(text: str, what: str) -> int:
             raise FlowParseError(f"{what} of {len(text)} digits is too "
                                  f"long to read") from None
     if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
-        raise FlowParseError(f"negative {what} {text!r}")
-    raise FlowParseError(f"{what} {text!r} is not a whole number in ASCII "
-                         f"digits")
+        raise FlowParseError(f"negative {what} {shown(text)}")
+    raise FlowParseError(f"{what} {shown(text)} is not a whole number in "
+                         f"ASCII digits")
 
 
 _DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
@@ -111,13 +130,13 @@ def parse_decimal(text: str, what: str) -> float:
     finite float >= 0; no sign, ``_``, whitespace, ``inf`` or ``nan``."""
     if _DECIMAL.fullmatch(text.removeprefix("-")) is None:
         if text.lstrip("+-").lower() not in ("inf", "infinity", "nan"):
-            raise FlowParseError(f"{what} {text!r} is not a decimal number "
-                                 f"in ASCII digits")
+            raise FlowParseError(f"{what} {shown(text)} is not a decimal "
+                                 f"number in ASCII digits")
     elif text[0] == "-":
-        raise FlowParseError(f"negative {what} {text!r}")
+        raise FlowParseError(f"negative {what} {shown(text)}")
     elif math.isfinite(value := float(text)):
         return value
-    raise FlowParseError(f"{what} is not finite: {text!r}")
+    raise FlowParseError(f"{what} is not finite: {shown(text)}")
 
 
 def parse_cidr(text: str) -> tuple[int, int]:
@@ -125,14 +144,15 @@ def parse_cidr(text: str) -> tuple[int, int]:
     ``n <= 32``; host bits are cleared, so ``10.0.0.1/8`` is 10.0.0.0/8."""
     addr, slash, prefix = text.partition("/")
     if addr != addr.strip():   # parse_ipv4 would strip it
-        raise FlowParseError(f"whitespace in CIDR entry {text!r}")
+        raise FlowParseError(f"whitespace in CIDR entry {shown(text)}")
     network = parse_ipv4(addr)
     if "." in prefix:
-        raise FlowParseError(f"netmask {prefix!r} in {text!r}: write the "
-                             f"prefix length, 0-32")
+        raise FlowParseError(f"netmask {shown(prefix)} in {shown(text)}: "
+                             f"write the prefix length, 0-32")
     plen = parse_uint(prefix, "prefix length") if slash else 32
     if plen > 32:
-        raise FlowParseError(f"prefix length {plen} is over 32: {text!r}")
+        raise FlowParseError(f"prefix length {shown(plen)} is over 32: "
+                             f"{shown(text)}")
     return network & (~0 << (32 - plen)) & 0xFFFFFFFF, plen
 
 
@@ -143,9 +163,9 @@ def format_ipv4(addr: int) -> str:
 
 def _check_port(port: Any) -> int:
     if isinstance(port, bool) or not isinstance(port, int):
-        raise FlowParseError(f"port must be an integer: {port!r}")
+        raise FlowParseError(f"port must be an integer: {shown(port)}")
     if not 0 <= port <= 65535:
-        raise FlowParseError(f"port out of range: {port}")
+        raise FlowParseError(f"port out of range: {shown(port)}")
     return port
 
 
@@ -193,13 +213,13 @@ class PacketRecord(NamedTuple):
 
 def _timestamp(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FlowParseError(f"ts must be a number: {value!r}")
+        raise FlowParseError(f"ts must be a number: {shown(value)}")
     try:
         ts = float(value)
     except OverflowError:
         ts = math.inf
     if not math.isfinite(ts):
-        raise FlowParseError(f"ts is not finite: {value!r}")
+        raise FlowParseError(f"ts is not finite: {shown(value)}")
     if ts < 0:
         raise FlowParseError(f"negative timestamp: {ts}")
     return ts
@@ -226,7 +246,7 @@ def _json_object(line: str, what: str) -> dict:
     # ValueError: also a number past Python's digit limit; RecursionError:
     # a value nested deeper than the decoder's recursion limit
     except (ValueError, RecursionError) as exc:
-        raise FlowParseError(f"bad JSON: {exc}") from exc
+        raise FlowParseError(json_reason(exc)) from exc
     if not isinstance(obj, dict):
         raise FlowParseError(f"{what} must be a JSON object")
     return obj
@@ -245,7 +265,7 @@ def _packet_flow(src_ip, src_port, dst_ip, dst_port,
     # the flow CSV may write a code as digit text; JSON has integers
     if isinstance(proto, str) and proto.strip().upper() not in ("TCP", "UDP"):
         raise FlowParseError(f"protocol code must be a JSON integer: "
-                             f"{proto!r}")
+                             f"{shown(proto)}")
     return key, Direction.FORWARD if forward else Direction.REVERSE
 
 
@@ -272,11 +292,11 @@ def packet_from_json_line(line: str) -> PacketRecord:
         raise FlowParseError(f"missing field {exc}") from exc
     payload = obj.get("payload", "")
     if not isinstance(payload, str):
-        raise FlowParseError(f"payload must be a string: {payload!r}")
+        raise FlowParseError(f"payload must be a string: {shown(payload)}")
     encrypted = obj.get("encrypted", False)
     if not isinstance(encrypted, bool):
         raise FlowParseError(
-            f"encrypted must be true or false: {encrypted!r}")
+            f"encrypted must be true or false: {shown(encrypted)}")
     try:
         payload.encode("utf-8")   # a lone surrogate has no UTF-8 form
     except UnicodeEncodeError as exc:
@@ -307,7 +327,7 @@ class LabeledPayload:
 
     def __post_init__(self):
         if self.label not in (BENIGN, MALICIOUS):
-            raise FlowParseError(f"label must be 0 or 1: {self.label!r}")
+            raise FlowParseError(f"label must be 0 or 1: {shown(self.label)}")
 
 
 def labeled_payload_from_json_line(line: str) -> LabeledPayload:
@@ -319,9 +339,10 @@ def labeled_payload_from_json_line(line: str) -> LabeledPayload:
         raise FlowParseError("corpus record needs 'payload' and 'label'")
     payload, label = obj["payload"], obj["label"]
     if not isinstance(payload, str):
-        raise FlowParseError(f"payload must be a string: {payload!r}")
+        raise FlowParseError(f"payload must be a string: {shown(payload)}")
     if type(label) is not int:   # true and 1.0 are not the integer 1
-        raise FlowParseError(f"label must be the integer 0 or 1: {label!r}")
+        raise FlowParseError(f"label must be the integer 0 or 1: "
+                             f"{shown(label)}")
     return LabeledPayload(payload, label)
 
 

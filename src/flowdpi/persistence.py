@@ -12,9 +12,10 @@ from typing import Any
 
 import numpy as np
 
+from .flows import json_reason
 from .logistic import LogisticModel
 from .textfeat import (N_LINGUISTIC, Featurizer, NormalizationParams,
-                       TfIdfModel)
+                       TfIdfModel, _pack_grams, _unpack)
 from .tree import DecisionTreeModel, TreeNode
 
 PAYLOAD_SCHEMA = "flowdpi/payload-logistic/1"
@@ -30,10 +31,9 @@ class ModelReadError(Exception):
 
 
 def featurizer_to_dict(f: Featurizer) -> dict:
-    vocab_in_order = sorted(f.tfidf.vocabulary, key=f.tfidf.vocabulary.get)
     return {
-        "vocabulary": vocab_in_order,
-        "idf": list(f.tfidf.idf),
+        "vocabulary": _unpack(f.tfidf.grams),
+        "idf": f.tfidf.idf.tolist(),
         "l_min": list(f.norm.l_min),
         "l_max": list(f.norm.l_max),
         "n_docs": f.tfidf.n_docs,
@@ -47,11 +47,15 @@ def featurizer_from_dict(obj: dict) -> Featurizer:
     vocabulary = _typed(obj, "vocabulary", list, where)
     if not {str}.issuperset(map(type, vocabulary)):
         raise ValueError(f"{where}'vocabulary' must hold only strings")
-    vocab = {t: i for i, t in enumerate(vocabulary)}
-    if len(vocab) != len(vocabulary):
+    for i, gram in enumerate(vocabulary):
+        if len(gram) != 3:
+            raise ValueError(f"{where}'vocabulary'[{i}] is not a tri-gram: "
+                             f"{gram!r}")
+    if len(set(vocabulary)) != len(vocabulary):
         raise ValueError(f"{where}'vocabulary' holds a repeated tri-gram")
     idf = _numbers(obj, "idf", where, len(vocabulary))
-    tfidf = TfIdfModel(vocab, tuple(float(v) for v in idf),
+    tfidf = TfIdfModel(_pack_grams(vocabulary),
+                       np.array([float(v) for v in idf], dtype=float),
                        _typed(obj, "n_docs", int, where))
     norm = NormalizationParams(
         tuple(float(v) for v in _numbers(obj, "l_min", where, N_LINGUISTIC)),
@@ -181,7 +185,7 @@ def _read_json(path) -> Any:
                              f"{exc.strerror or exc}") from exc
     # bad JSON, bad UTF-8, a 5,000-digit number, or nesting too deep
     except (ValueError, RecursionError) as exc:
-        raise ModelFormatError(f"{path}: bad JSON: {exc}") from exc
+        raise ModelFormatError(f"{path}: {json_reason(exc)}") from exc
 
 
 def peek_schema(path) -> str:

@@ -6,13 +6,12 @@ features (digits, consecutive digits, consecutive consonants, repeated
 letters, vowels).
 
 Every row is built along one path, each tri-gram packed into one int64
-code until a model keeps it: ``count_batch`` counts payloads with numpy,
-``tokenize`` gives each payload's distinct codes and their counts,
-``fit_featurizer`` fits on any subset of those rows and unpacks only the
-tri-grams it keeps, and ``stack_dense`` builds the ``FeatureBatch`` of
-any subset, looking each code up among the vocabulary's.  Replay's
-``Featurizer.featurize_batch`` is ``stack_dense`` of ``tokenize``, and
-``Featurizer.featurize`` is the one-row batch of a single payload.
+code (a string only in a model file): ``count_batch`` counts payloads
+with numpy, ``tokenize`` gives each payload's distinct codes and their
+counts, ``fit_featurizer`` keeps the codes of any subset of those rows,
+and ``stack_dense`` builds the ``FeatureBatch`` of any subset, looking
+each code up among the model's.  ``Featurizer.featurize_batch`` is
+``stack_dense`` of ``tokenize``; ``Featurizer.featurize``, of one payload.
 """
 
 from __future__ import annotations
@@ -54,6 +53,12 @@ def _pack(first: np.ndarray, second: np.ndarray,
     code |= second.astype(np.int64) << _BITS
     code |= third
     return code
+
+
+def _pack_grams(grams: Sequence[str]) -> np.ndarray:
+    """The packed codes of tri-gram strings, each of three characters."""
+    chars = _code_points("".join(grams)).reshape(-1, 3)
+    return _pack(chars[:, 0], chars[:, 1], chars[:, 2])
 
 
 def _unpack(codes: np.ndarray) -> list[str]:
@@ -129,20 +134,21 @@ def count_batch(payloads: Sequence[str]) -> BatchCounts:
     return BatchCounts(owner, codes, totals, linguistic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TfIdfModel:
-    vocabulary: dict[str, int]    # trigram -> dense column index
-    idf: tuple[float, ...]        # by column
+    """The tri-gram block: column ``j`` holds the tri-gram of packed code
+    ``grams[j]`` (ascending in a fit; a model file may hold any order),
+    weighted ``idf[j]``.  The model makes both arrays read-only."""
+
+    grams: np.ndarray
+    idf: np.ndarray
     n_docs: int
 
     def __post_init__(self):
-        columns = self.vocabulary.values()
-        if (not {int}.issuperset(map(type, columns))
-                or sorted(columns) != list(range(len(columns)))):
-            raise ValueError("vocabulary columns must be 0..|V|-1")
-        if len(self.idf) != len(columns):
-            raise ValueError(f"idf holds {len(self.idf)} weights for "
-                             f"{len(columns)} tri-grams")
+        if self.grams.ndim != 1 or self.idf.shape != self.grams.shape:
+            raise ValueError(f"tri-grams of shape {self.grams.shape} and idf "
+                             f"of shape {self.idf.shape}: want one length")
+        self.grams.flags.writeable = self.idf.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,30 +191,20 @@ class Featurizer:
 
     @property
     def dim(self) -> int:
-        return len(self.tfidf.vocabulary) + N_LINGUISTIC
+        return self.tfidf.grams.shape[0] + N_LINGUISTIC
 
     def featurize(self, payload: str) -> FeatureBatch:
         """The payload's feature row, as a one-row batch."""
         return self.featurize_batch([payload])
 
     @cached_property
-    def _idf(self) -> np.ndarray:
-        return np.array(self.tfidf.idf, dtype=float)
-
-    @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """The packed codes of the vocabulary's tri-grams, ascending, and
-        their columns, then a code above every tri-gram's, so that a
-        ``searchsorted`` position is always in range."""
-        vocabulary = self.tfidf.vocabulary
-        grams = [t for t in vocabulary if len(t) == 3]
-        chars = _code_points("".join(grams)).reshape(-1, 3)
-        codes = _pack(chars[:, 0], chars[:, 1], chars[:, 2])
-        order = np.argsort(codes)
-        columns = np.fromiter(map(vocabulary.__getitem__, grams),
-                              dtype=np.intp, count=len(grams))
-        return (np.append(codes[order], np.iinfo(np.int64).max),
-                np.append(columns[order], -1))
+        """The model's tri-gram codes, ascending, and their columns, then
+        a code above every tri-gram's, so that a ``searchsorted`` position
+        is always in range."""
+        order = np.argsort(self.tfidf.grams)
+        return (np.append(self.tfidf.grams[order], np.iinfo(np.int64).max),
+                np.append(order, -1))
 
     def featurize_batch(self, payloads: Sequence[str]) -> FeatureBatch:
         """The feature rows of ``payloads``, in order, valued as
@@ -275,8 +271,8 @@ def tokenize(payloads: Sequence[str]) -> TokenizedCorpus:
 
 
 def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
-    """Fit on the payloads at ``rows`` (all by default): the vocabulary is
-    their sorted tri-grams, with smoothed IDF weights
+    """Fit on the payloads at ``rows`` (all by default): the columns are
+    their tri-grams in ascending order, with smoothed IDF weights
 
         idf[t] = ln((1 + n_docs) / (1 + df(t))) + 1,
 
@@ -289,14 +285,13 @@ def fit_featurizer(corpus: TokenizedCorpus, rows=None) -> Featurizer:
     _, ids, _ = corpus.entries(rows)
     df = np.bincount(ids, minlength=corpus.grams.shape[0])
     present = np.flatnonzero(df)
-    vocabulary = {gram: j for j, gram in
-                  enumerate(_unpack(corpus.grams[present]))}
-    idf = tuple(math.log((1 + n) / (1 + d)) + 1.0
-                for d in df[present].tolist())
+    # math.log, not np.log, whose SIMD loops may round otherwise
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0
+                    for d in df[present].tolist()], dtype=float)
     ling = corpus.linguistic[rows]
     norm = NormalizationParams(tuple(map(float, ling.min(axis=0).tolist())),
                                tuple(map(float, ling.max(axis=0).tolist())))
-    return Featurizer(TfIdfModel(vocabulary, idf, n), norm)
+    return Featurizer(TfIdfModel(corpus.grams[present], idf, n), norm)
 
 
 def _normalize_rows(params: NormalizationParams,
@@ -334,14 +329,14 @@ def stack_dense(featurizer: Featurizer, corpus: TokenizedCorpus,
     cols = column[ids]
     hit = cols >= 0
     owner, cols, counts = owner[hit], cols[hit], counts[hit]
-    tfidf = (counts / corpus.totals[rows[owner]]) * featurizer._idf[cols]
+    tfidf = counts / corpus.totals[rows[owner]] * featurizer.tfidf.idf[cols]
     ling = _normalize_rows(featurizer.norm, corpus.linguistic[rows])
     ling_owner, j = np.nonzero(ling)
     owner = np.concatenate((owner, ling_owner))
-    indices = np.concatenate((cols, len(featurizer.tfidf.vocabulary) + j))
+    indices = np.concatenate((cols, featurizer.tfidf.grams.shape[0] + j))
     # sort each row by column: rows come in order, and so do the columns
-    # within a row unless a model file numbered its vocabulary out of
-    # order, so this is mostly one merge of two sorted runs
+    # within a row unless a model file holds its tri-grams out of order,
+    # so this is mostly one merge of two sorted runs
     order = np.argsort(owner * featurizer.dim + indices, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])

@@ -19,7 +19,8 @@ The corpus counter that ``textfeat.count_batch`` replaced:
 ``tokenize`` counts each payload's tri-grams with a ``Counter`` and its
 linguistic features with ``linguistic_features``, and builds the
 ``TokenizedCorpus`` from the counts, its tri-grams sorted as strings and
-then each packed into one integer by ``pack``.
+then each packed into one integer by ``pack``; ``unpack`` gives a code's
+tri-gram back.
 
 The replay order: ``sorted_replay`` is the replay that parsed every
 packet line and processed the packets in a stable sort by timestamp,
@@ -122,11 +123,14 @@ def transform_tfidf(model: TfIdfModel,
         return []
     total = len(grams)
     counts = Counter(grams)
+    columns = {unpack(code): j
+               for j, code in enumerate(model.grams.tolist())}
+    idf = model.idf.tolist()
     pairs = []
     for t, c in counts.items():
-        idx = model.vocabulary.get(t)
+        idx = columns.get(t)
         if idx is not None:
-            pairs.append((idx, (c / total) * model.idf[idx]))
+            pairs.append((idx, (c / total) * idf[idx]))
     pairs.sort()
     return pairs
 
@@ -149,7 +153,7 @@ def featurize(featurizer: Featurizer,
     """Tri-gram block at [0, |V|) followed by the 5 normalized linguistic
     components, as (column, value) pairs; zero linguistic entries
     omitted."""
-    n_vocab = len(featurizer.tfidf.vocabulary)
+    n_vocab = len(featurizer.tfidf.grams)
     pairs = transform_tfidf(featurizer.tfidf, payload)
     ling = normalize(featurizer.norm, linguistic_features(payload))
     for j, value in enumerate(ling):
@@ -162,6 +166,12 @@ def pack(gram: str) -> int:
     """A tri-gram's code: its three code points, 21 bits each."""
     a, b, c = map(ord, gram)
     return a << 42 | b << 21 | c
+
+
+def unpack(code: int) -> str:
+    """The tri-gram of a code: ``pack`` undone."""
+    mask = (1 << 21) - 1
+    return chr(code >> 42) + chr(code >> 21 & mask) + chr(code & mask)
 
 
 def tokenize(payloads) -> TokenizedCorpus:
@@ -193,15 +203,15 @@ def fit_featurizer(corpus: list[str]) -> Featurizer:
     df: Counter[str] = Counter()
     for payload in corpus:
         df.update(set(trigrams(payload)))
-    vocab = {t: i for i, t in enumerate(sorted(df))}
+    vocabulary = sorted(df)
     n = len(corpus)
-    idf = [0.0] * len(vocab)
-    for t, i in vocab.items():
-        idf[i] = math.log((1 + n) / (1 + df[t])) + 1.0
+    idf = [math.log((1 + n) / (1 + df[t])) + 1.0 for t in vocabulary]
     cols = list(zip(*(linguistic_features(p).as_tuple() for p in corpus)))
     norm = NormalizationParams(tuple(float(min(c)) for c in cols),
                                tuple(float(max(c)) for c in cols))
-    return Featurizer(TfIdfModel(vocab, tuple(idf), n), norm)
+    codes = np.array([pack(t) for t in vocabulary], dtype=np.int64)
+    return Featurizer(TfIdfModel(codes, np.array(idf, dtype=float), n),
+                      norm)
 
 
 def stack_dense(rows, dim: int) -> np.ndarray:

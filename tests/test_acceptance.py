@@ -219,7 +219,7 @@ def test_c5_tfidf_against_dense_oracle():
             docs = corpus + ["".join(rng.choice(alphabet, size=12))
                              for _ in range(5)]
             featurizer = fit_featurizer(tokenize(corpus))
-            n_vocab = len(featurizer.tfidf.vocabulary)
+            n_vocab = featurizer.tfidf.grams.shape[0]
             dense = _dense_tfidf(corpus, docs)
             for r, doc in enumerate(docs):
                 vec = np.zeros(n_vocab)

@@ -460,13 +460,20 @@ class TestEval:
          "featurizer: 'idf'[0] must be finite: nan"),
         (("featurizer", "l_max", 0), float("inf"),
          "featurizer: 'l_max'[0] must be finite: inf"),
+        (("featurizer", "vocabulary", 1), "ab",
+         "featurizer: 'vocabulary'[1] is not a tri-gram: 'ab'"),
+        (("featurizer", "vocabulary", 2), "<2>x",
+         "featurizer: 'vocabulary'[2] is not a tri-gram: '<2>x'"),
+        (("featurizer", "vocabulary", 0), "",
+         "featurizer: 'vocabulary'[0] is not a tri-gram: ''"),
     ])
     def test_payload_model_malformed_field_is_model_error(
             self, payload_model_file, corpus_file, tmp_path, capsys,
             path, value, reason):
         # a missing key used to end in a KeyError traceback with exit 1,
-        # "idf": ["1.5", ...] used to be coerced to numbers, and NaN and
-        # Infinity used to load
+        # "idf": ["1.5", ...] used to be coerced to numbers, NaN and
+        # Infinity used to load, and so did a vocabulary entry that no
+        # payload's tri-gram could match
         doc = json.loads(payload_model_file.read_text())
         # a three-tri-gram vocabulary keeps the expected messages short
         featurizer = doc["featurizer"]
@@ -517,6 +524,17 @@ class TestEval:
                      "--report-out", str(tmp_path / "r.json")]) == 3
         assert (f"{model}: bad JSON: maximum recursion depth"
                 in capsys.readouterr().err)
+
+    def test_model_number_past_the_digit_limit_is_model_error(
+            self, corpus_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"schema": "flowdpi/payload-logistic/1", '
+                         '"bias": 1' + "0" * 5000 + "}")
+        assert main(["eval", str(model), str(corpus_file),
+                     "--report-out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{model}: bad JSON: a number of more than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_unknown_schema_is_model_error(self, corpus_file, tmp_path):
         bad = tmp_path / "bad.json"
@@ -654,6 +672,8 @@ class TestReplay:
         assert main(args) == 0
         [reason] = json.loads((tmp_path / "r.json").read_text())["errors"]
         assert reason.startswith("packet line 1: bad protocol: '999")
+        assert reason.endswith("... (5002 characters)")   # not 5,016 long
+        assert len(reason) < 160
         assert main(args + ["--strict"]) == 2
 
     def test_bad_blacklist_line_is_reported_or_fatal_under_strict(

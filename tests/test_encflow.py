@@ -103,6 +103,19 @@ def test_ttl_of_too_many_digits_names_the_field():
     assert "set_int_max_str_digits" not in reason
 
 
+@pytest.mark.parametrize("column, value", [
+    ("tls_version", "TLS" * 2000), ("ttl", "9" * 3000),
+    ("label", "bot" * 2000), ("src_ip", "1" * 5000),
+    ("duration", "1." * 2500), ("fwd_pkts", "-" + "1" * 5000),
+])
+def test_reason_shows_a_long_field_cut_short(column, value):
+    with pytest.raises(FlowRowError) as info:
+        parse_flow_row(dict(GOOD_ROW, **{column: value}), 3)
+    reason = str(info.value)
+    assert reason.startswith("row 3: ") and len(reason) < 160
+    assert re.search(r"\.\.\. \(\d+ characters\)", reason)
+
+
 @pytest.mark.parametrize("value", ["1e-05", "0.5", "1e+16", "3", "0.0"])
 def test_duration_reads_every_float_repr(value):
     assert parse_flow_row(dict(GOOD_ROW, duration=value), 1).duration == \

@@ -239,17 +239,17 @@ def _bits(row):
 
 @st.composite
 def _model_file(draw, fitted: Featurizer):
-    """``fitted`` as a model file may hold it: the vocabulary numbered in
-    any order, idf weights of 0.0 or below, any normalizer."""
-    grams = draw(st.permutations(list(fitted.tfidf.vocabulary)))
+    """``fitted`` as a model file may hold it: the tri-grams in any
+    order, idf weights of 0.0 or below, any normalizer."""
+    n = fitted.tfidf.grams.shape[0]
+    order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
     idf = draw(st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.25])
-                        | st.floats(-4.0, 4.0), min_size=len(grams),
-                        max_size=len(grams)))
+                        | st.floats(-4.0, 4.0), min_size=n, max_size=n))
     lo = draw(st.lists(st.floats(0.0, 12.0), min_size=5, max_size=5))
     span = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]),
                          min_size=5, max_size=5))
     return Featurizer(
-        TfIdfModel({t: i for i, t in enumerate(grams)}, tuple(idf),
+        TfIdfModel(fitted.tfidf.grams[order], np.array(idf, dtype=float),
                    fitted.tfidf.n_docs),
         NormalizationParams(tuple(lo), tuple(a + b for a, b in zip(lo, span))))
 

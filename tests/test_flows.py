@@ -398,13 +398,19 @@ def test_json_value_is_json_loads(before, value, after):
 
 def test_number_past_the_digit_limit_is_a_parse_error():
     # json.loads raises a plain ValueError here, which used to escape a
-    # lenient replay and end it as a model/config error
+    # lenient replay and end it as a model/config error, and then gave
+    # Python's own advice as the reason
     huge = "1" + "0" * 5000
     line = packet_json(ts=0).replace('"ts": 0', f'"ts": {huge}')
-    with pytest.raises(FlowParseError, match="bad JSON"):
-        packet_from_json_line(line)
-    with pytest.raises(FlowParseError, match="bad JSON"):
-        labeled_payload_from_json_line(f'{{"payload": "/a", "label": {huge}}}')
+    reason = "bad JSON: a number of more than 4300 digits"
+    for parse, text in [
+            (packet_from_json_line, line),
+            (labeled_payload_from_json_line,
+             f'{{"payload": "/a", "label": {huge}}}')]:
+        with pytest.raises(FlowParseError) as info:
+            parse(text)
+        assert str(info.value) == reason
+        assert "set_int_max_str_digits" not in str(info.value)
 
 
 @pytest.mark.parametrize("nesting", [
@@ -593,3 +599,53 @@ def test_parse_cidr_agrees_with_ipaddress(line):
 def test_parse_cidr_reasons(line, reason):
     with pytest.raises(FlowParseError, match=re.escape(reason)):
         parse_cidr(line)
+
+
+_LONG = "x" * 5000
+_HUGE = 10 ** 1000
+
+
+_LONG_VALUES = [
+    (lambda: parse_protocol("9" * 5000), "protocol"),
+    (lambda: parse_protocol(_HUGE), "protocol code"),
+    (lambda: parse_ipv4(_LONG), "IPv4 address"),
+    (lambda: parse_uint(_LONG, "ttl"), "ttl"),
+    (lambda: parse_uint("-" + "1" * 5000, "ttl"), "negative ttl"),
+    (lambda: parse_decimal(_LONG, "duration"), "duration"),
+    (lambda: parse_decimal("-" + "1" * 5000, "duration"),
+     "negative duration"),
+    (lambda: parse_decimal("9" * 5000, "duration"), "duration is not finite"),
+    (lambda: parse_cidr("10.0.0.0" + " " * 5000), "CIDR entry"),
+    (lambda: parse_cidr("10.0.0.0/" + "1." * 2500), "netmask"),
+    (lambda: parse_cidr("10.0.0.0/" + "9" * 4000), "prefix length"),
+    (lambda: packet_from_json_line(packet_json(src_port=_LONG)), "port"),
+    (lambda: packet_from_json_line(packet_json(src_port=_HUGE)), "port"),
+    (lambda: packet_from_json_line(packet_json(proto=_LONG)), "protocol"),
+    (lambda: packet_from_json_line(packet_json(proto="9" * 5000)),
+     "protocol"),
+    (lambda: packet_from_json_line(packet_json(ts=_LONG)), "ts"),
+    (lambda: packet_from_json_line(packet_json(ts=_HUGE)), "ts"),
+    (lambda: packet_from_json_line(packet_json(payload=[0] * 3000)),
+     "payload"),
+    (lambda: packet_from_json_line(packet_json(encrypted=_LONG)),
+     "encrypted"),
+    (lambda: labeled_payload_from_json_line(
+        json.dumps({"payload": [0] * 3000, "label": 1})), "payload"),
+    (lambda: labeled_payload_from_json_line(
+        json.dumps({"payload": "/a", "label": _LONG})), "label"),
+    (lambda: labeled_payload_from_json_line(
+        json.dumps({"payload": "/a", "label": _HUGE})), "label"),
+]
+
+
+@pytest.mark.parametrize("parse, field", _LONG_VALUES,
+                         ids=[field for _, field in _LONG_VALUES])
+def test_reason_shows_a_long_value_cut_short(parse, field):
+    """A reason shows the start of a long bad value and its length, so a
+    report entry stays small however large the field."""
+    with pytest.raises(FlowParseError) as info:
+        parse()
+    reason = str(info.value)
+    assert field in reason
+    assert len(reason) < 250   # two values of 64 characters at most
+    assert re.search(r"\.\.\. \(\d+ characters\)", reason)
